@@ -6,7 +6,14 @@ retargets them to the native set {C(theta, phi), CZ, CCZ}, and verifies
 every output against the input matrix with a dense simulator.
 """
 
-from .circuit import Circuit, Gate, GateCounts, collect_single_qubit_runs, gate_counts
+from .circuit import (
+    Circuit,
+    Gate,
+    GateCounts,
+    c_matrix,
+    collect_single_qubit_runs,
+    gate_counts,
+)
 from .exceptions import AtomqcError, NotUnitary, SynthesisFailure, UnsupportedGate
 from .formats import (
     emit_sequence,
@@ -22,8 +29,7 @@ from .linalg import (
     phase_distance,
     random_unitary,
 )
-from .options import CompileOptions
-from .qrd import gcb_code, gcb_permutation, qrd_compile
+from .qrd import gcb_code, qrd_compile
 from .qsd import qsd_compile
 from .quaternion import (
     Quaternion,
@@ -36,7 +42,6 @@ from .quaternion import (
 from .retarget import retarget_circuit
 from .simulate import (
     CompileReport,
-    c_matrix,
     circuit_unitary,
     cnot_lower_bound,
     gate_matrix,
@@ -48,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomqcError",
     "Circuit",
-    "CompileOptions",
     "CompileReport",
     "DEFAULT_TOL",
     "Gate",
@@ -67,7 +71,6 @@ __all__ = [
     "gate_counts",
     "gate_matrix",
     "gcb_code",
-    "gcb_permutation",
     "parse_qasm",
     "parse_sequence",
     "phase_distance",

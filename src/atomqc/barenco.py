@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as cir
+from .circuit import _X, rotation_matrix
 from .exceptions import InsufficientIdleQubits, NotUnitary
 from .linalg import DEFAULT_TOL, check_unitary, unitary_sqrt, wrap_angle
-from .simulate import rotation_matrix
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _ANGLE_EPS = 1e-12
 
 

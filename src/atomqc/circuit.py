@@ -157,6 +157,80 @@ def diag_phase(qubits, pattern, gamma):
     return Gate("DIAG_PHASE", tuple(qubits), (wrap_angle(gamma),), polarities=tuple(pattern))
 
 
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def c_matrix(theta, phi):
+    """The native single-qubit pulse gate C(theta, phi)."""
+    ct, st = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [[ct, -np.exp(1j * phi) * st], [np.exp(-1j * phi) * st, ct]], dtype=complex
+    )
+
+
+def rotation_matrix(axis, theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    if axis == "X":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if axis == "Y":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if axis == "Z":
+        return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
+    raise ValueError(f"unknown axis {axis!r}")
+
+
+def _pattern_index(polarities):
+    idx = 0
+    for bit in polarities:
+        idx = (idx << 1) | bit
+    return idx
+
+
+def gate_local_matrix(g):
+    """Matrix of ``g`` over its own qubits, first listed qubit most significant."""
+    if g.kind in ("RX", "RY", "RZ"):
+        return rotation_matrix(g.kind[1], g.params[0])
+    if g.kind == "H":
+        return _H.astype(complex)
+    if g.kind == "X":
+        return _X.astype(complex)
+    if g.kind == "C":
+        return c_matrix(*g.params)
+    if g.kind == "PHASE":
+        return np.diag([1.0, np.exp(1j * g.params[0])])
+    if g.kind == "U1":
+        return np.asarray(g.matrix, dtype=complex)
+    if g.kind == "CNOT":
+        m = np.eye(4, dtype=complex)
+        m[2:, 2:] = _X
+        return m
+    if g.kind == "CZ":
+        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    if g.kind == "CCZ":
+        d = np.ones(8, dtype=complex)
+        d[7] = -1.0
+        return np.diag(d)
+    if g.kind == "CU":
+        m = np.eye(4, dtype=complex)
+        m[2:, 2:] = g.matrix
+        return m
+    if g.kind in ("MCU", "MCX"):
+        k = len(g.qubits)
+        block = _X if g.kind == "MCX" else np.asarray(g.matrix)
+        m = np.eye(2**k, dtype=complex)
+        base = _pattern_index(g.polarities) << 1
+        rows = [base, base + 1]
+        m[np.ix_(rows, rows)] = block
+        return m
+    if g.kind == "DIAG_PHASE":
+        k = len(g.qubits)
+        d = np.ones(2**k, dtype=complex)
+        d[_pattern_index(g.polarities)] = np.exp(1j * g.params[0])
+        return np.diag(d)
+    raise ValueError(f"no matrix for kind {g.kind!r}")  # pragma: no cover
+
+
 @dataclass(frozen=True)
 class GateCounts:
     per_kind: dict

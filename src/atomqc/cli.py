@@ -15,24 +15,55 @@ from .exceptions import (
     AtomqcError,
     DimMismatch,
     MatrixFormatError,
+    NotPowerOfTwo,
     NotUnitary,
     QasmSyntaxError,
     SequenceSyntaxError,
     UnsupportedGate,
 )
 from .formats import emit_sequence, parse_qasm, parse_sequence, read_matrix, render_qasm
-from .linalg import DEFAULT_TOL, Tolerances, random_unitary
-from .options import MAX_QUBITS_HARD_CAP, CompileOptions
+from .linalg import DEFAULT_TOL, MAX_QUBITS, Tolerances, random_unitary
 from .qrd import qrd_compile
 from .qsd import qsd_compile
 from .retarget import retarget_circuit
-from .simulate import MAX_SIM_QUBITS, verify
+from .simulate import circuit_unitary, verify
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_BAD_MATRIX = 2
 EXIT_VERIFY = 3
 EXIT_PARSE = 4
+
+CSV_HEADER = (
+    "method,n,seed,cnot_or_cz_count,single_qubit_count,"
+    "c_pulse_count,lower_bound,distance,wall_time_s"
+)
+
+
+def report_text(report, method, wall_time):
+    """Human-readable verdict block for a ``verify`` report."""
+    lines = [
+        f"qubits:          {report.n_qubits}",
+        f"method:          {method}",
+        f"entangling:      {report.counts.entangling_total}",
+        f"single-qubit:    {report.counts.single_qubit_total}",
+        f"cnot lower bound:{report.lower_bound:>6}",
+        f"distance:        {report.distance:.3e}",
+        f"wall time [s]:   {wall_time:.4f}",
+        f"verdict:         {'PASS' if report.passed else 'FAIL'}",
+    ]
+    return "\n".join(lines)
+
+
+def csv_row(report, method_tag, seed, retargeted, wall_time):
+    """One ``bench`` row, in the column order of ``CSV_HEADER``."""
+    counts = report.counts
+    ent = counts.get("CZ") if retargeted else counts.get("CNOT")
+    return (
+        f"{method_tag},{report.n_qubits},{seed},{ent},"
+        f"{counts.single_qubit_total},{counts.get('C')},"
+        f"{report.lower_bound},{report.distance:.3e},{wall_time:.6f}"
+    )
 
 
 def _max_qubits(default=8):
@@ -42,8 +73,9 @@ def _max_qubits(default=8):
     try:
         value = int(env)
     except ValueError:
-        raise SystemExit(f"ATOMQC_MAX_QUBITS must be an integer, got {env!r}")
-    return min(max(value, 1), MAX_QUBITS_HARD_CAP)
+        print(f"error: ATOMQC_MAX_QUBITS must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    return min(max(value, 1), MAX_QUBITS)
 
 
 def _read_text(path):
@@ -65,9 +97,6 @@ def _write_text(path, text):
 
 
 def _load_matrix(path, tol):
-    """Read a matrix file; the specifier ``haar:<n>`` samples one instead."""
-    if path.startswith("haar:"):
-        return None  # resolved by the caller, which knows the seed
     try:
         return read_matrix(_read_text(path), tol)
     except NotUnitary as exc:
@@ -78,42 +107,46 @@ def _load_matrix(path, tol):
         raise SystemExit(EXIT_BAD_MATRIX)
 
 
-def _compile_one(u, opts):
-    compiler = qrd_compile if opts.method == "qrd" else qsd_compile
+def _haar_matrix(spec, seed, max_qubits):
+    """Sample the unitary named by the specifier ``haar:<n>``."""
+    try:
+        n = int(spec.split(":", 1)[1])
+    except ValueError:
+        print(f"error: bad matrix specifier {spec!r}; expected haar:<n>", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_MATRIX)
+    return random_unitary(n, seed, max_qubits)
+
+
+def _compile_one(u, method, retarget, tol, max_qubits):
+    compiler = qrd_compile if method == "qrd" else qsd_compile
     start = time.perf_counter()
-    c = compiler(u, opts)
-    if opts.retarget:
-        c = retarget_circuit(c, opts.tolerances)
+    c = compiler(u, tol=tol, max_qubits=max_qubits)
+    if retarget:
+        c = retarget_circuit(c, tol)
     wall = time.perf_counter() - start
     return c, wall
 
 
 def cmd_compile(args):
     tol = Tolerances(tol_recon=args.tol) if args.tol else DEFAULT_TOL
-    opts = CompileOptions(
-        method=args.method,
-        retarget=args.retarget,
-        max_qubits=_max_qubits(),
-        seed=args.seed,
-        tolerances=tol,
-    )
-    u = _load_matrix(args.matrix, tol)
-    if u is None:
-        n = int(args.matrix.split(":", 1)[1])
-        u = random_unitary(n, args.seed, opts.max_qubits)
+    max_qubits = _max_qubits()
+    if args.matrix.startswith("haar:"):
+        u = _haar_matrix(args.matrix, args.seed, max_qubits)
+    else:
+        u = _load_matrix(args.matrix, tol)
     try:
-        c, wall = _compile_one(u, opts)
-    except NotUnitary as exc:
+        c, wall = _compile_one(u, args.method, args.retarget, tol, max_qubits)
+    except (NotUnitary, NotPowerOfTwo) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    report = verify(c, u, tol=args.verify_tol, method=opts.method,
-                    retargeted=opts.retarget, wall_time=wall)
-    text = emit_sequence(c) if opts.retarget else render_qasm(c)
+    report = verify(c, u, tol=args.verify_tol)
+    text = emit_sequence(c) if args.retarget else render_qasm(c)
     if args.out:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    print(report.text(), file=sys.stderr)
+    method = f"{args.method} + retarget" if args.retarget else args.method
+    print(report_text(report, method, wall), file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -136,12 +169,9 @@ def cmd_retarget(args):
         _write_text(args.out, out_text)
     else:
         sys.stdout.write(out_text)
-    if c.n_qubits <= MAX_SIM_QUBITS:
-        from .simulate import circuit_unitary
-
-        report = verify(r, circuit_unitary(c), tol=args.tol, method="retarget",
-                        retargeted=True, wall_time=wall)
-        print(report.text(), file=sys.stderr)
+    if c.n_qubits <= MAX_QUBITS:
+        report = verify(r, circuit_unitary(c), tol=args.tol)
+        print(report_text(report, "retarget", wall), file=sys.stderr)
         return EXIT_OK if report.passed else EXIT_VERIFY
     print(f"warning: {c.n_qubits} qubits exceeds the simulation cap; "
           "verification skipped", file=sys.stderr)
@@ -162,13 +192,16 @@ def _parse_circuit_file(path):
 
 def cmd_verify(args):
     c = _parse_circuit_file(args.circuit)
+    if args.matrix.startswith("haar:"):
+        print(f"error: verify needs a matrix file, got {args.matrix!r}", file=sys.stderr)
+        return EXIT_BAD_MATRIX
     u = _load_matrix(args.matrix, DEFAULT_TOL)
     try:
         report = verify(c, u, tol=args.tol)
     except DimMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    print(report.text())
+    print(report_text(report, "", 0.0))
     if not report.passed:
         print(f"verification failed: distance {report.distance:.3e} >= {args.tol:g}",
               file=sys.stderr)
@@ -191,17 +224,12 @@ def cmd_bench(args):
             return EXIT_IO
         for n in range(args.n_min, args.n_max + 1):
             for seed in range(args.samples):
-                opts = CompileOptions(method=method, retarget=retarget,
-                                      max_qubits=cap, seed=seed)
                 u = random_unitary(n, seed, cap)
-                c, wall = _compile_one(u, opts)
-                report = verify(c, u, method=method_tag,
-                                retargeted=retarget, wall_time=wall)
-                rows.append((method_tag, n, seed, report.csv_row(seed)))
+                c, wall = _compile_one(u, method, retarget, DEFAULT_TOL, cap)
+                row = csv_row(verify(c, u), method_tag, seed, retarget, wall)
+                rows.append((method_tag, n, seed, row))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    from .simulate import CompileReport
-
-    csv = "\n".join([CompileReport.CSV_HEADER] + [r[3] for r in rows]) + "\n"
+    csv = "\n".join([CSV_HEADER] + [r[3] for r in rows]) + "\n"
     if args.out:
         _write_text(args.out, csv)
     else:

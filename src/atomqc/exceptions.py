@@ -25,10 +25,6 @@ class SizeTooLarge(AtomqcError):
     pass
 
 
-class DegenerateColumn(AtomqcError):
-    """Both candidate entries of a Givens step are already (numerically) zero."""
-
-
 class EigenFailure(AtomqcError):
     pass
 

@@ -21,7 +21,6 @@ from .exceptions import (
     UnsupportedGate,
 )
 from .linalg import DEFAULT_TOL, check_unitary
-from .simulate import gate_local_matrix
 
 __all__ = [
     "parse_qasm",
@@ -311,7 +310,7 @@ def render_qasm(c):
         elif g.kind == "PHASE":
             lines.append(f"u1({_fmt(g.params[0])}) q[{q[0]}];")
         elif g.kind in ("U1", "C"):
-            zy = zy_decompose(gate_local_matrix(g))
+            zy = zy_decompose(cir.gate_local_matrix(g))
             lines.append(
                 f"u3({_fmt(zy.gamma)},{_fmt(zy.beta)},{_fmt(zy.delta)}) q[{q[0]}];"
             )
@@ -363,6 +362,9 @@ def _seq_fields(raw, lineno, mnemonic, n_int, n_float):
         floats = [float(p) for p in parts[1 + n_int :]]
     except ValueError as exc:
         raise SequenceSyntaxError(f"bad {mnemonic} argument: {exc}", lineno) from exc
+    for x in floats:
+        if not math.isfinite(x):
+            raise SequenceSyntaxError(f"{mnemonic} argument must be finite, got {x}", lineno)
     return ints, floats
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import (
-    DegenerateColumn,
     DimMismatch,
     EigenFailure,
     NotUnitary,
@@ -22,12 +21,11 @@ from .exceptions import (
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "GivensRotation",
+    "MAX_QUBITS",
     "CsdResult",
     "DemuxResult",
     "is_unitary",
     "check_unitary",
-    "givens_params",
     "cs_decompose",
     "demultiplex",
     "unitary_sqrt",
@@ -51,6 +49,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Widest register any compiler, sampler or the dense simulator accepts.
+MAX_QUBITS = 12
+
 
 def is_unitary(m, tol=DEFAULT_TOL.tol_unitary):
     m = np.asarray(m)
@@ -69,58 +70,6 @@ def wrap_angle(x):
     """Wrap an angle into the principal branch (-pi, pi]."""
     y = -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
     return y if np.ndim(x) else float(y)
-
-
-@dataclass(frozen=True)
-class GivensRotation:
-    """Two-level rotation zeroing one matrix entry.
-
-    Left-multiplying the embedded rotation zeroes entry ``(j, k)`` of the
-    source matrix and leaves a real non-negative pivot at ``(i, k)``.
-    """
-
-    i: int
-    j: int
-    g_ii: complex
-    g_ij: complex
-    g_ji: complex
-    g_jj: complex
-
-    def block(self):
-        return np.array([[self.g_ii, self.g_ij], [self.g_ji, self.g_jj]])
-
-    def embed(self, dim):
-        g = np.eye(dim, dtype=complex)
-        g[self.i, self.i] = self.g_ii
-        g[self.i, self.j] = self.g_ij
-        g[self.j, self.i] = self.g_ji
-        g[self.j, self.j] = self.g_jj
-        return g
-
-
-def givens_params(m, j, i, k, tol=DEFAULT_TOL):
-    """Rotation mixing rows ``i`` (pivot) and ``j`` that zeroes ``m[j, k]``.
-
-    Raises ``DegenerateColumn`` when both entries are already below
-    ``tol.tol_zero``; the caller is expected to skip the step.
-    """
-    m = np.asarray(m)
-    u_i = complex(m[i, k])
-    u_j = complex(m[j, k])
-    r = np.hypot(abs(u_i), abs(u_j))
-    if r <= tol.tol_zero:
-        raise DegenerateColumn(f"entries ({i},{k}) and ({j},{k}) both ~0")
-    if abs(u_j) <= tol.tol_zero:
-        # Nothing to eliminate; identity keeps the schedule stable.
-        return GivensRotation(i, j, 1.0, 0.0, 0.0, 1.0)
-    return GivensRotation(
-        i=i,
-        j=j,
-        g_ii=u_i.conjugate() / r,
-        g_ij=u_j.conjugate() / r,
-        g_ji=-u_j / r,
-        g_jj=u_i / r,
-    )
 
 
 @dataclass(frozen=True)
@@ -213,7 +162,7 @@ def haar_unitary(dim, rng):
     return q * (d / np.abs(d))
 
 
-def random_unitary(n_qubits, seed, max_qubits=12):
+def random_unitary(n_qubits, seed, max_qubits=MAX_QUBITS):
     """Deterministic Haar-random unitary on ``n_qubits`` qubits."""
     if not 1 <= n_qubits <= max_qubits:
         raise SizeTooLarge(f"n_qubits={n_qubits} outside 1..{max_qubits}")

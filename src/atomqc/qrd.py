@@ -8,24 +8,14 @@ basis-flip conjugation.  Control elimination then drops controls whose
 removal provably leaves all previously-cleared matrix entries untouched.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import circuit as cir
 from .barenco import lower_circuit
 from .exceptions import NotPowerOfTwo, SizeTooLarge
-from .linalg import DEFAULT_TOL, check_unitary, wrap_angle
+from .linalg import DEFAULT_TOL, MAX_QUBITS, check_unitary, wrap_angle
 
-__all__ = [
-    "gcb_code",
-    "GcbPermutation",
-    "gcb_permutation",
-    "TwoLevelOp",
-    "qrd_eliminate",
-    "eliminate_controls",
-    "qrd_compile",
-]
+__all__ = ["gcb_code", "eliminate_controls", "qrd_compile"]
 
 
 def gcb_code(i):
@@ -33,33 +23,6 @@ def gcb_code(i):
     if i < 0:
         raise ValueError("index must be non-negative")
     return i ^ (i >> 1)
-
-
-@dataclass(frozen=True)
-class GcbPermutation:
-    n_qubits: int
-    codes: tuple
-
-    def __len__(self):
-        return len(self.codes)
-
-
-def gcb_permutation(n_qubits):
-    return GcbPermutation(n_qubits, tuple(gcb_code(i) for i in range(2**n_qubits)))
-
-
-@dataclass(frozen=True)
-class TwoLevelOp:
-    """Rotation between two Gray-adjacent basis states.
-
-    ``block`` is 2x2 with rows/columns ordered (basis_a, basis_b), where
-    basis_a is the pivot (the Gray predecessor of basis_b).
-    """
-
-    basis_a: int
-    basis_b: int
-    block: np.ndarray
-    eliminated_column: int
 
 
 def _qubit_count(dim):
@@ -78,51 +41,33 @@ def _mix_rows(m, r0, r1, block):
 
 
 def _givens_block(u_a, u_b, tol):
-    """2x2 rotation sending (u_a, u_b)^T to (r, 0)^T with r real non-negative."""
-    r = np.hypot(abs(u_a), abs(u_b))
-    if r <= tol.tol_zero or abs(u_b) <= tol.tol_zero:
+    """2x2 rotation sending (u_a, u_b)^T to (r, 0)^T with r real non-negative.
+
+    ``None`` means there is nothing to eliminate: ``u_b`` is already zero
+    to ``tol.tol_zero`` (which covers the degenerate case where both
+    entries are), and the rows stay as they are.
+    """
+    if abs(u_b) <= tol.tol_zero:
         return None
+    r = np.hypot(abs(u_a), abs(u_b))
     return np.array(
         [[u_a.conjugate() / r, u_b.conjugate() / r], [-u_b / r, u_a / r]]
     )
 
 
-def qrd_eliminate(u, tol=DEFAULT_TOL):
-    """Pure two-level elimination.
+def _op_to_mcu(a, b, block, n_qubits):
+    """Express the rotation ``block`` between Gray-adjacent basis states as an MCU.
 
-    Returns the ops (left multiplications, in order, that diagonalize the
-    matrix) and the residual diagonal phases indexed by Gray position.
+    ``block`` is 2x2 with rows/columns ordered (a, b), where ``a`` is the
+    pivot (the Gray predecessor of ``b``).
     """
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
-    dim = u.shape[0]
-    _qubit_count(dim)
-    m = u.copy()
-    ops = []
-    for c in range(dim - 1):
-        col = gcb_code(c)
-        for s in range(dim - 1, c, -1):
-            a, b = gcb_code(s - 1), gcb_code(s)
-            block = _givens_block(complex(m[a, col]), complex(m[b, col]), tol)
-            if block is None:
-                continue
-            _mix_rows(m, np.array([a]), np.array([b]), block)
-            ops.append(TwoLevelOp(basis_a=a, basis_b=b, block=block, eliminated_column=c))
-    phases = [float(np.angle(m[gcb_code(i), gcb_code(i)])) for i in range(dim)]
-    return ops, phases
-
-
-def _op_to_mcu(op, n_qubits):
-    """Express a Gray-adjacent two-level op as an MCU gate in basis space."""
-    diff = op.basis_a ^ op.basis_b
+    diff = a ^ b
     bit = diff.bit_length() - 1  # bit position counted from the LSB
     target = n_qubits - 1 - bit
     controls = tuple(q for q in range(n_qubits) if q != target)
-    pol = tuple((op.basis_a >> (n_qubits - 1 - q)) & 1 for q in controls)
-    if (op.basis_a >> bit) & 1 == 0:
-        block = op.block
-    else:
-        block = op.block[::-1, ::-1]
+    pol = tuple((a >> (n_qubits - 1 - q)) & 1 for q in controls)
+    if (a >> bit) & 1 == 1:
+        block = block[::-1, ::-1]
     return cir.mcu(controls, target, block, pol)
 
 
@@ -144,7 +89,6 @@ def _gate_row_pairs(gate, n_qubits):
     r0 = np.full(2 ** len(free), base, dtype=int)
     for pos, q in enumerate(free):
         stride = 1 << (n_qubits - 1 - q)
-        half = 1 << pos
         r0 += stride * ((np.arange(2 ** len(free)) >> pos) & 1)
     return r0, r0 | tbit
 
@@ -200,18 +144,15 @@ def _apply_gate_rows(m, gate, n_qubits):
     _mix_rows(m, r0, r1, np.asarray(gate.matrix))
 
 
-def qrd_compile(u, opts=None, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubits=12):
+def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
     """Compile a unitary via Givens elimination in Gray order.
 
     Emits the residual diagonal as DIAG_PHASE gates followed by the daggered
     elimination gates in reverse order; with ``lower`` the multi-controlled
-    gates are expanded through the Barenco constructions.
+    gates are expanded through the Barenco constructions, and with
+    ``drop_controls`` each elimination gate loses the controls that
+    ``eliminate_controls`` proves redundant.
     """
-    if opts is not None:
-        tol = opts.tolerances
-        lower = opts.lower
-        drop_controls = opts.eliminate_controls
-        max_qubits = opts.max_qubits
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol.tol_unitary)
     dim = u.shape[0]
@@ -228,7 +169,7 @@ def qrd_compile(u, opts=None, tol=DEFAULT_TOL, lower=True, drop_controls=True, m
             a, b = gcb_code(s - 1), gcb_code(s)
             block = _givens_block(complex(m[a, col]), complex(m[b, col]), tol)
             if block is not None:
-                gate = _op_to_mcu(TwoLevelOp(a, b, block, c), n)
+                gate = _op_to_mcu(a, b, block, n)
                 if drop_controls and gate.kind == "MCU":
                     gate = eliminate_controls(gate, cleared, m, n, tol)
                 _apply_gate_rows(m, gate, n)

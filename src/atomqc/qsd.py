@@ -14,7 +14,7 @@ import numpy as np
 from . import circuit as cir
 from .barenco import lower_1q
 from .exceptions import LengthNotPowerOfTwo, SizeTooLarge
-from .linalg import DEFAULT_TOL, check_unitary, cs_decompose, demultiplex
+from .linalg import DEFAULT_TOL, MAX_QUBITS, check_unitary, cs_decompose, demultiplex
 from .qrd import _qubit_count, gcb_code
 
 __all__ = [
@@ -112,16 +112,13 @@ def _mux_rotation_gates(axis, controls, target, thetas, eps):
     )
 
 
-def qsd_compile(u, opts=None, tol=DEFAULT_TOL, max_qubits=12):
+def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
     """Compile a unitary by recursive Shannon decomposition.
 
     The recursion base is a single qubit (ZY synthesis); sign conventions
     for the multiplexed RY/RZ angles are fixed so the emitted circuit
     reproduces the input exactly up to accumulated float error.
     """
-    if opts is not None:
-        tol = opts.tolerances
-        max_qubits = opts.max_qubits
     u = np.asarray(u, dtype=complex)
     check_unitary(u, tol.tol_unitary)
     n = _qubit_count(u.shape[0])

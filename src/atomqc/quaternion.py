@@ -6,14 +6,14 @@ pulses about equatorial axes covers the whole rotation group, so any
 single-qubit gate becomes exactly two C(theta, phi) pulses plus a phase.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
+from .circuit import c_matrix
 from .exceptions import SynthesisFailure
-from .linalg import DEFAULT_TOL, check_unitary, phase_distance, wrap_angle
-from .simulate import c_matrix
+from .linalg import DEFAULT_TOL, check_unitary, wrap_angle
 
 __all__ = [
     "Quaternion",
@@ -126,7 +126,8 @@ def to_axis_angle(q):
         return AxisAngle(alpha=0.0, axis=(0.0, 0.0, 1.0), beta=0.0, phi_axis=0.0)
     alpha = 2.0 * float(np.arctan2(vec_norm, q.w)) % (2 * np.pi)
     axis = (q.x / vec_norm, q.y / vec_norm, q.z / vec_norm)
-    beta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
+    # arccos(axis_z) would lose half its digits near the poles.
+    beta = float(np.arctan2(np.hypot(q.x, q.y), q.z))
     phi_axis = float(np.arctan2(axis[1], axis[0]))
     return AxisAngle(alpha=alpha, axis=axis, beta=beta, phi_axis=phi_axis)
 
@@ -177,34 +178,6 @@ def _closed_form(aa):
     return theta, delta, phi_mean
 
 
-def _numeric_solve(aa, gamma, u):
-    """Root-find (s, delta) when the closed form misses; acceptance is the
-    reconstruction distance itself."""
-    target = (np.cos(aa.alpha / 2.0), np.sin(aa.alpha / 2.0) * np.cos(aa.beta))
-
-    def residual(v):
-        s, delta = v
-        return [
-            1.0 - s * (1.0 + np.cos(delta)) - target[0],
-            -s * np.sin(delta) - target[1],
-        ]
-
-    best = None
-    for s0, d0 in ((0.5, 0.5), (0.9, -2.0), (0.1, 2.5), (0.99, 0.1)):
-        sol = scipy.optimize.least_squares(
-            residual, (s0, d0), bounds=([0.0, -np.pi], [1.0, np.pi])
-        )
-        s, delta = sol.x
-        theta = 2.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
-        for phi_mean in (np.pi / 2.0 - aa.phi_axis, 3 * np.pi / 2.0 - aa.phi_axis):
-            for g in (gamma, gamma + np.pi):
-                cand = _pulse_pair(theta, delta, phi_mean, g)
-                dist = phase_distance(cand.reconstruct(), u)
-                if best is None or dist < best[0]:
-                    best = (dist, cand)
-    return best
-
-
 def _pulse_quaternion(theta, phi):
     """Quaternion of C(theta, phi): rotation about the equatorial axis at
     azimuth pi/2 - phi."""
@@ -213,21 +186,21 @@ def _pulse_quaternion(theta, phi):
     return Quaternion(np.cos(half), np.sin(half) * np.cos(a), np.sin(half) * np.sin(a), 0.0)
 
 
-def _composition_dot(pair, q):
-    """Scalar agreement check: +-1 when the pulse pair composes to +-q."""
-    composed = quaternion_multiply(
+def _composed_quaternion(pair):
+    """Quaternion of the pulse pair, pulse 1 applied first."""
+    return quaternion_multiply(
         _pulse_quaternion(pair.theta2, pair.phi2),
         _pulse_quaternion(pair.theta1, pair.phi1),
     )
-    return composed.w * q.w + composed.x * q.x + composed.y * q.y + composed.z * q.z
 
 
 def two_pulse_synthesis(u, tol=DEFAULT_TOL, precomputed=None):
     """Exact two-pulse realization of an arbitrary single-qubit unitary.
 
-    The closed form always lands within float error for unitary input; the
-    numeric fallback exists as a safety net and ``SynthesisFailure`` marks
-    the (never expected) case where neither path reconstructs ``U``.
+    The closed form lands within float error for unitary input; its pulse
+    pair must compose to +-q within ``tol.tol_recon`` (quaternion distance),
+    and ``SynthesisFailure`` marks the (never expected) case where it does
+    not.
     """
     u = np.asarray(u, dtype=complex)
     if precomputed is None:
@@ -239,20 +212,14 @@ def two_pulse_synthesis(u, tol=DEFAULT_TOL, precomputed=None):
         return TwoPulse(0.0, 0.0, 0.0, 0.0, wrap_angle(gamma + (np.pi if q.w < 0 else 0.0)))
     theta, delta, phi_mean = _closed_form(aa)
     cand = _pulse_pair(theta, delta, phi_mean, gamma)
-    # Two SU(2) factors reproduce the quaternion only up to sign; the
-    # quaternion dot product resolves the +-pi ambiguity in gamma without
-    # touching matrices.
-    dot = _composition_dot(cand, q)
-    if dot < 0:
+    # Two SU(2) factors reproduce the quaternion only up to sign; the sign
+    # of the quaternion dot product resolves the +-pi ambiguity in gamma
+    # without touching matrices.
+    c = _composed_quaternion(cand)
+    sign = 1.0 if c.w * q.w + c.x * q.x + c.y * q.y + c.z * q.z >= 0 else -1.0
+    miss = math.dist((c.w, c.x, c.y, c.z), (sign * q.w, sign * q.x, sign * q.y, sign * q.z))
+    if miss > tol.tol_recon:
+        raise SynthesisFailure(f"pulse pair misses the target rotation by {miss:.3e}")
+    if sign < 0:
         cand = _pulse_pair(theta, delta, phi_mean, gamma + np.pi)
-    if abs(dot) >= 1.0 - 1e-12:
-        return cand
-    dist = phase_distance(cand.reconstruct(), u)
-    if dist <= tol.tol_recon:
-        return cand
-    fallback = _numeric_solve(aa, gamma, u)
-    if fallback is not None and fallback[0] <= tol.tol_recon:
-        return fallback[1]
-    raise SynthesisFailure(
-        f"no pulse pair reconstructs the target (best distance {dist:.3e})"
-    )
+    return cand

@@ -12,7 +12,6 @@ from . import circuit as cir
 from .exceptions import UnsupportedGate
 from .linalg import DEFAULT_TOL, wrap_angle
 from .quaternion import quaternion_from_unitary, to_axis_angle, two_pulse_synthesis
-from .simulate import gate_local_matrix
 
 __all__ = ["retarget_circuit", "synthesize_run"]
 
@@ -50,7 +49,7 @@ def synthesize_run(u, tol=DEFAULT_TOL):
         # Equatorial axis: one pulse of duration alpha suffices.
         pulse = cir.c_gate(aa.alpha, wrap_angle(np.pi / 2.0 - aa.phi_axis), 0)
         for g in (phase, phase + np.pi):
-            if np.max(np.abs(np.exp(1j * g) * gate_local_matrix(pulse) - u)) <= tol.tol_recon:
+            if np.max(np.abs(np.exp(1j * g) * cir.gate_local_matrix(pulse) - u)) <= tol.tol_recon:
                 return ((pulse.kind, pulse.params),), float(wrap_angle(g))
     tp = two_pulse_synthesis(u, tol, precomputed=(q, phase))
     pulses = []
@@ -81,7 +80,7 @@ def retarget_circuit(c, tol=DEFAULT_TOL):
     for qubit, indices in cir.collect_single_qubit_runs(inter):
         u = np.eye(2, dtype=complex)
         for i in indices:
-            u = gate_local_matrix(inter.gates[i]) @ u
+            u = cir.gate_local_matrix(inter.gates[i]) @ u
         pulses, gamma = synthesize_run(u, tol)
         phase += gamma
         dropped.update(indices)

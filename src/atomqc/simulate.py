@@ -10,82 +10,7 @@ import numpy as np
 
 from . import circuit as cir
 from .exceptions import QubitOutOfRange, SizeTooLarge
-from .linalg import phase_distance
-
-MAX_SIM_QUBITS = 12
-
-_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def c_matrix(theta, phi):
-    """The native single-qubit pulse gate C(theta, phi)."""
-    ct, st = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [[ct, -np.exp(1j * phi) * st], [np.exp(-1j * phi) * st, ct]], dtype=complex
-    )
-
-
-def rotation_matrix(axis, theta):
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if axis == "Z":
-        return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def _pattern_index(polarities):
-    idx = 0
-    for bit in polarities:
-        idx = (idx << 1) | bit
-    return idx
-
-
-def gate_local_matrix(g):
-    """Matrix of ``g`` over its own qubits, first listed qubit most significant."""
-    if g.kind in ("RX", "RY", "RZ"):
-        return rotation_matrix(g.kind[1], g.params[0])
-    if g.kind == "H":
-        return _H.astype(complex)
-    if g.kind == "X":
-        return _X.astype(complex)
-    if g.kind == "C":
-        return c_matrix(*g.params)
-    if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(1j * g.params[0])])
-    if g.kind == "U1":
-        return np.asarray(g.matrix, dtype=complex)
-    if g.kind == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = _X
-        return m
-    if g.kind == "CZ":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    if g.kind == "CCZ":
-        d = np.ones(8, dtype=complex)
-        d[7] = -1.0
-        return np.diag(d)
-    if g.kind == "CU":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = g.matrix
-        return m
-    if g.kind in ("MCU", "MCX"):
-        k = len(g.qubits)
-        block = _X if g.kind == "MCX" else np.asarray(g.matrix)
-        m = np.eye(2**k, dtype=complex)
-        base = _pattern_index(g.polarities) << 1
-        rows = [base, base + 1]
-        m[np.ix_(rows, rows)] = block
-        return m
-    if g.kind == "DIAG_PHASE":
-        k = len(g.qubits)
-        d = np.ones(2**k, dtype=complex)
-        d[_pattern_index(g.polarities)] = np.exp(1j * g.params[0])
-        return np.diag(d)
-    raise ValueError(f"no matrix for kind {g.kind!r}")  # pragma: no cover
+from .linalg import MAX_QUBITS, phase_distance
 
 
 def apply_gate(u, g, n_qubits):
@@ -93,7 +18,7 @@ def apply_gate(u, g, n_qubits):
     for q in g.qubits:
         if not 0 <= q < n_qubits:
             raise QubitOutOfRange(f"qubit {q} outside width {n_qubits}")
-    local = gate_local_matrix(g)
+    local = cir.gate_local_matrix(g)
     k = len(g.qubits)
     cols = u.shape[1]
     t = u.reshape([2] * n_qubits + [cols])
@@ -111,8 +36,8 @@ def gate_matrix(g, n_qubits):
 
 def circuit_unitary(c):
     """Product of gate matrices in time order, times ``e^{i global_phase}``."""
-    if c.n_qubits > MAX_SIM_QUBITS:
-        raise SizeTooLarge(f"simulation capped at {MAX_SIM_QUBITS} qubits")
+    if c.n_qubits > MAX_QUBITS:
+        raise SizeTooLarge(f"simulation capped at {MAX_QUBITS} qubits")
     u = np.eye(2**c.n_qubits, dtype=complex)
     for g in c.gates:
         u = apply_gate(u, g, c.n_qubits)
@@ -130,53 +55,18 @@ class CompileReport:
     counts: cir.GateCounts
     distance: float
     lower_bound: int
-    wall_time: float
-    method: str = ""
-    retargeted: bool = False
-    tolerance: float = 0.0
-    passed: bool = True
-
-    CSV_HEADER = (
-        "method,n,seed,cnot_or_cz_count,single_qubit_count,"
-        "c_pulse_count,lower_bound,distance,wall_time_s"
-    )
-
-    def csv_row(self, seed):
-        ent = self.counts.get("CZ") if self.retargeted else self.counts.get("CNOT")
-        return (
-            f"{self.method},{self.n_qubits},{seed},{ent},"
-            f"{self.counts.single_qubit_total},{self.counts.get('C')},"
-            f"{self.lower_bound},{self.distance:.3e},{self.wall_time:.6f}"
-        )
-
-    def text(self):
-        lines = [
-            f"qubits:          {self.n_qubits}",
-            f"method:          {self.method}"
-            f"{' + retarget' if self.retargeted and 'retarget' not in self.method else ''}",
-            f"entangling:      {self.counts.entangling_total}",
-            f"single-qubit:    {self.counts.single_qubit_total}",
-            f"cnot lower bound:{self.lower_bound:>6}",
-            f"distance:        {self.distance:.3e}",
-            f"wall time [s]:   {self.wall_time:.4f}",
-            f"verdict:         {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return "\n".join(lines)
+    tolerance: float
+    passed: bool
 
 
-def verify(c, target, tol=1e-7, method="", retargeted=False, wall_time=0.0):
+def verify(c, target, tol=1e-7):
     """Distance of the circuit's unitary from ``target``, modulo global phase."""
-    sim = circuit_unitary(c)
-    dist = phase_distance(sim, np.asarray(target))
-    n = c.n_qubits
+    dist = phase_distance(circuit_unitary(c), np.asarray(target))
     return CompileReport(
-        n_qubits=n,
+        n_qubits=c.n_qubits,
         counts=cir.gate_counts(c),
         distance=dist,
-        lower_bound=cnot_lower_bound(n),
-        wall_time=wall_time,
-        method=method,
-        retargeted=retargeted,
+        lower_bound=cnot_lower_bound(c.n_qubits),
         tolerance=tol,
         passed=dist < tol,
     )

@@ -57,22 +57,18 @@ def test_append_and_extend_accumulate():
 
 
 def test_dagger_involution():
-    from atomqc.simulate import gate_local_matrix
-
     for g in (cir.rx(0.4, 0), cir.phase(1.2, 0), cir.cnot(0, 1),
               cir.u1q(np.array([[0, 1j], [1j, 0]], dtype=complex), 0)):
         back = g.dagger().dagger()
         assert back.kind == g.kind and back.qubits == g.qubits
-        assert np.allclose(gate_local_matrix(back), gate_local_matrix(g))
+        assert np.allclose(cir.gate_local_matrix(back), cir.gate_local_matrix(g))
 
 
 def test_dagger_inverts_matrix():
-    from atomqc.simulate import gate_local_matrix
-
     # Rotation angles are canonicalized into [0, 2pi), so the inverse holds
     # up to a global sign (RY(2pi - t) = -RY(-t)).
     for g in (cir.ry(1.1, 0), cir.c_gate(0.7, -0.2, 0), cir.phase(0.9, 0)):
-        prod = gate_local_matrix(g.dagger()) @ gate_local_matrix(g)
+        prod = cir.gate_local_matrix(g.dagger()) @ cir.gate_local_matrix(g)
         sign = 1.0 if prod[0, 0].real >= 0 else -1.0
         assert np.max(np.abs(sign * prod - np.eye(2))) < 1e-14
 

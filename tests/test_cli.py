@@ -10,17 +10,20 @@ import pathlib
 import numpy as np
 import pytest
 
+from atomqc import circuit as cir
 from atomqc.cli import (
+    CSV_HEADER,
     EXIT_BAD_MATRIX,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VERIFY,
+    csv_row,
     main,
 )
 from atomqc.formats import parse_sequence, write_matrix
 from atomqc.linalg import phase_distance, random_unitary
-from atomqc.simulate import circuit_unitary
+from atomqc.simulate import circuit_unitary, verify
 
 CORPUS = pathlib.Path(__file__).parent / "qasm_corpus"
 
@@ -209,3 +212,43 @@ def test_bench_rejects_bad_method(capsys):
 
 def test_bench_rejects_bad_range(capsys):
     assert main(["bench", "--n-min", "3", "--n-max", "2"]) == EXIT_IO
+
+
+def test_report_csv_row():
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+    c = cir.Circuit(2, (cir.h(1), cir.cz(0, 1), cir.h(1)))
+    row = csv_row(verify(c, cnot), "qsd", seed=3, retargeted=False, wall_time=0.5)
+    fields = row.split(",")
+    assert fields[0] == "qsd" and fields[1] == "2" and fields[2] == "3"
+    assert len(fields) == len(CSV_HEADER.split(","))
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on bad input: a code and a message, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, message",
+    [
+        (["compile", "haar:abc"], {}, EXIT_BAD_MATRIX, "expected haar:<n>"),
+        (["compile", "haar:2"], {"ATOMQC_MAX_QUBITS": "foo"}, EXIT_IO,
+         "ATOMQC_MAX_QUBITS must be an integer"),
+        (["compile", "{tmp}/eye3.mat"], {}, EXIT_BAD_MATRIX, "not a power of two"),
+        (["compile", "{tmp}/eye1.mat"], {}, EXIT_BAD_MATRIX, "not a power of two"),
+        (["verify", "{corpus}/bell.qasm", "haar:2"], {}, EXIT_BAD_MATRIX,
+         "verify needs a matrix file"),
+        (["verify", "{tmp}/nan.seq", "{tmp}/eye4.mat"], {}, EXIT_PARSE, "must be finite"),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
+    (tmp_path / "eye1.mat").write_text(write_matrix(np.eye(1)))
+    (tmp_path / "eye3.mat").write_text(write_matrix(np.eye(3)))
+    (tmp_path / "eye4.mat").write_text(write_matrix(np.eye(4)))
+    (tmp_path / "nan.seq").write_text("SEQUENCE 1\nQUBITS 2\nC 0 nan inf\n")
+    monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.format(tmp=tmp_path, corpus=CORPUS) for arg in argv]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err

@@ -272,6 +272,8 @@ def test_sequence_emit_rejects_non_native():
         "SEQUENCE 1\nQUBITS 2\nC 0 bad 0.5\n",
         "SEQUENCE 1\nQUBITS 2\nC 0 0.5\n",
         "SEQUENCE 1\nQUBITS 2\nNOP 0\n",
+        "SEQUENCE 1\nQUBITS 2\nC 0 nan inf\n",
+        "SEQUENCE 1\nQUBITS 2\nPHASE nan\n",
     ],
 )
 def test_sequence_errors(text):
@@ -283,6 +285,9 @@ def test_sequence_error_reports_line():
     with pytest.raises(SequenceSyntaxError) as info:
         parse_sequence("SEQUENCE 1\nQUBITS 2\nCZ 0 9\n")
     assert info.value.line == 3
+    with pytest.raises(SequenceSyntaxError) as info:
+        parse_sequence("SEQUENCE 1\nQUBITS 1\nC 0 0.5 0.1\nC 0 -inf 0.1\n")
+    assert info.value.line == 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from atomqc.exceptions import (
-    DegenerateColumn,
     DimMismatch,
     NotUnitary,
     OddDimension,
@@ -16,7 +15,6 @@ from atomqc.linalg import (
     check_unitary,
     cs_decompose,
     demultiplex,
-    givens_params,
     haar_unitary,
     is_unitary,
     phase_distance,
@@ -24,6 +22,7 @@ from atomqc.linalg import (
     unitary_sqrt,
     wrap_angle,
 )
+from atomqc.qrd import _givens_block
 
 RNG = np.random.default_rng(1234)
 
@@ -57,24 +56,24 @@ def test_wrap_angle_principal_branch():
 
 def test_givens_zeroes_target_entry():
     m = haar_unitary(4, RNG)
-    g = givens_params(m, j=2, i=0, k=1)
-    out = g.embed(4) @ m
+    block = _givens_block(complex(m[0, 1]), complex(m[2, 1]), DEFAULT_TOL)
+    out = m.copy()
+    out[[0, 2], :] = block @ m[[0, 2], :]
     assert abs(out[2, 1]) < 1e-14
     assert out[0, 1].imag == pytest.approx(0.0, abs=1e-14)
     assert out[0, 1].real >= 0
-    assert is_unitary(g.block())
+    assert is_unitary(block)
 
 
 def test_givens_degenerate_column():
     m = np.eye(4, dtype=complex)
-    with pytest.raises(DegenerateColumn):
-        givens_params(m, j=2, i=0, k=1)
+    assert _givens_block(complex(m[0, 1]), complex(m[2, 1]), DEFAULT_TOL) is None
 
 
 def test_givens_already_zero_is_identity():
+    # None tells the elimination loop to leave both rows as they are.
     m = np.eye(4, dtype=complex)
-    g = givens_params(m, j=2, i=1, k=1)
-    assert np.allclose(g.block(), np.eye(2))
+    assert _givens_block(complex(m[1, 1]), complex(m[2, 1]), DEFAULT_TOL) is None
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])

@@ -6,9 +6,8 @@ import pytest
 from atomqc import circuit as cir
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
-from atomqc.options import CompileOptions
-from atomqc.qrd import gcb_code, gcb_permutation, qrd_compile, qrd_eliminate
-from atomqc.simulate import circuit_unitary
+from atomqc.qrd import _gate_row_pairs, gcb_code, qrd_compile
+from atomqc.simulate import circuit_unitary, gate_matrix
 
 RNG = np.random.default_rng(55)
 
@@ -19,30 +18,42 @@ def test_gcb_code_values():
 
 def test_gcb_permutation_properties():
     for n in range(1, 9):
-        codes = gcb_permutation(n).codes
+        codes = [gcb_code(i) for i in range(2**n)]
         assert sorted(codes) == list(range(2**n))
         for a, b in zip(codes, codes[1:]):
             assert bin(a ^ b).count("1") == 1
 
 
+def _elimination_ops(u):
+    """Two-level eliminations in the order applied, and the residual diagonal.
+
+    The unlowered, control-keeping circuit is the residual diagonal followed
+    by the daggered eliminations in reverse.
+    """
+    c = qrd_compile(u, lower=False, drop_controls=False)
+    ops = [g.dagger() for g in reversed(c.gates) if g.kind != "DIAG_PHASE"]
+    diag = cir.Circuit(c.n_qubits, tuple(g for g in c.gates if g.kind == "DIAG_PHASE"))
+    return ops, diag
+
+
 def test_eliminate_diagonalizes():
     u = random_unitary(2, seed=0)
-    ops, phases = qrd_eliminate(u)
+    ops, diag = _elimination_ops(u)
     m = u.copy()
     for op in ops:
-        rows = [op.basis_a, op.basis_b]
-        m[rows, :] = op.block @ m[rows, :]
+        m = gate_matrix(op, 2) @ m
     off = m - np.diag(np.diag(m))
     assert np.max(np.abs(off)) < 1e-12
     assert np.allclose(np.abs(np.diag(m)), 1.0)
-    assert np.allclose(np.angle(np.diag(m))[[gcb_code(i) for i in range(4)]], phases)
+    assert np.allclose(circuit_unitary(diag), np.diag(np.diag(m)))
 
 
 def test_eliminate_ops_are_gray_adjacent():
     u = random_unitary(3, seed=1)
-    ops, _ = qrd_eliminate(u)
+    ops, _ = _elimination_ops(u)
     for op in ops:
-        assert bin(op.basis_a ^ op.basis_b).count("1") == 1
+        (basis_a,), (basis_b,) = _gate_row_pairs(op, 3)
+        assert bin(basis_a ^ basis_b).count("1") == 1
     dim = 8
     assert len(ops) <= dim * (dim - 1) // 2
 
@@ -82,10 +93,9 @@ def test_lowered_gate_kinds():
     assert all(g.kind in allowed for g in c.gates)
 
 
-def test_compile_respects_options_object():
+def test_compile_unlowered_keeps_multi_controlled_kinds():
     u = random_unitary(2, seed=2)
-    opts = CompileOptions(method="qrd", lower=False, eliminate_controls=False)
-    c = qrd_compile(u, opts)
+    c = qrd_compile(u, lower=False, drop_controls=False)
     assert all(g.kind in ("MCU", "U1", "DIAG_PHASE", "CU") for g in c.gates)
     assert phase_distance(circuit_unitary(c), u) < 1e-10
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from atomqc import circuit as cir
+from atomqc.circuit import rotation_matrix
 from atomqc.exceptions import LengthNotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.qsd import (
@@ -14,7 +15,7 @@ from atomqc.qsd import (
     qsd_compile,
     synth_multiplexed_rotation,
 )
-from atomqc.simulate import circuit_unitary, rotation_matrix
+from atomqc.simulate import circuit_unitary
 
 RNG = np.random.default_rng(7)
 

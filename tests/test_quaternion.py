@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from atomqc.exceptions import NotUnitary
+from atomqc.circuit import rotation_matrix
+from atomqc import quaternion
+from atomqc.exceptions import NotUnitary, SynthesisFailure
 from atomqc.linalg import haar_unitary, phase_distance
 from atomqc.quaternion import (
     Quaternion,
@@ -13,7 +15,6 @@ from atomqc.quaternion import (
     to_axis_angle,
     two_pulse_synthesis,
 )
-from atomqc.simulate import rotation_matrix
 
 RNG = np.random.default_rng(2024)
 
@@ -137,3 +138,22 @@ def test_two_pulse_extreme_angles():
             m = rotation_matrix(axis, a)
             tp = two_pulse_synthesis(m)
             assert phase_distance(tp.reconstruct(), m) < 1e-9
+
+
+def test_two_pulse_near_pole_keeps_full_precision():
+    # An axis 1e-9 off the pole: arccos(axis_z) would keep only ~1e-9 of it.
+    m = rotation_matrix("Z", np.pi / 2) @ rotation_matrix("X", 1e-9)
+    tp = two_pulse_synthesis(m)
+    assert phase_distance(tp.reconstruct(), m) < 1e-14
+
+
+def test_two_pulse_rejects_a_missed_rotation(monkeypatch):
+    closed_form = quaternion._closed_form
+
+    def bent(aa):
+        theta, delta, phi_mean = closed_form(aa)
+        return theta + 1e-6, delta, phi_mean
+
+    monkeypatch.setattr(quaternion, "_closed_form", bent)
+    with pytest.raises(SynthesisFailure):
+        two_pulse_synthesis(haar_unitary(2, np.random.default_rng(5)))

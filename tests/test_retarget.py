@@ -120,7 +120,5 @@ def test_synthesize_run_counts():
         recon = np.exp(1j * gamma) * np.eye(2)
         for kind, (theta, phi) in pulses:
             assert kind == "C"
-            from atomqc.simulate import c_matrix
-
-            recon = c_matrix(theta, phi) @ recon
+            recon = cir.c_matrix(theta, phi) @ recon
         assert np.max(np.abs(recon - u)) < 1e-9

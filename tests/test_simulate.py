@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
+from atomqc.circuit import c_matrix, rotation_matrix
 from atomqc.exceptions import QubitOutOfRange, SizeTooLarge
 from atomqc.linalg import haar_unitary, phase_distance
-from atomqc.simulate import (
-    c_matrix,
-    circuit_unitary,
-    cnot_lower_bound,
-    gate_matrix,
-    rotation_matrix,
-    verify,
-)
+from atomqc.simulate import circuit_unitary, cnot_lower_bound, gate_matrix, verify
 
 RNG = np.random.default_rng(99)
 
@@ -131,11 +125,3 @@ def test_verify_report_and_sensitivity():
     assert not report.passed
     assert report.distance > 1e-4
 
-
-def test_report_csv_row():
-    c = cir.Circuit(2, (cir.h(1), cir.cz(0, 1), cir.h(1)))
-    report = verify(c, CNOT, method="qsd", retargeted=False, wall_time=0.5)
-    row = report.csv_row(seed=3)
-    fields = row.split(",")
-    assert fields[0] == "qsd" and fields[1] == "2" and fields[2] == "3"
-    assert len(fields) == len(report.CSV_HEADER.split(","))
