@@ -11,7 +11,6 @@ from .circuit import (
     Gate,
     GateCounts,
     c_matrix,
-    collect_single_qubit_runs,
     gate_counts,
 )
 from .exceptions import AtomqcError, NotUnitary, SynthesisFailure, UnsupportedGate
@@ -66,7 +65,6 @@ __all__ = [
     "c_matrix",
     "circuit_unitary",
     "cnot_lower_bound",
-    "collect_single_qubit_runs",
     "emit_sequence",
     "gate_counts",
     "gate_matrix",

@@ -28,7 +28,9 @@ _MOD_2PI_KINDS = frozenset({"RX", "RY", "RZ", "C"})
 
 
 def _canon_2pi(x):
-    return float(np.asarray(x) % (2 * np.pi))
+    y = float(x) % (2 * np.pi)
+    # A tiny negative x rounds up to exactly 2 pi, outside [0, 2 pi).
+    return 0.0 if y == 2 * np.pi else y
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +238,6 @@ class GateCounts:
     per_kind: dict
     entangling_total: int
 
-    def __add__(self, other):
-        merged = Counter(self.per_kind) + Counter(other.per_kind)
-        return GateCounts(dict(merged), self.entangling_total + other.entangling_total)
-
     def get(self, kind):
         return self.per_kind.get(kind, 0)
 
@@ -276,9 +274,6 @@ class Circuit:
             self.global_phase + fragment.global_phase,
         )
 
-    def with_phase(self, extra):
-        return replace(self, global_phase=self.global_phase + extra)
-
 
 def _validate(gate, n_qubits):
     for q in gate.qubits:
@@ -295,29 +290,3 @@ def gate_counts(circuit):
     per_kind = Counter(g.kind for g in circuit.gates)
     entangling = sum(v for k, v in per_kind.items() if k in ENTANGLING_KINDS)
     return GateCounts(dict(per_kind), entangling)
-
-
-def collect_single_qubit_runs(circuit):
-    """Maximal per-qubit spans of single-qubit gates.
-
-    A span is broken only by a multi-qubit gate touching that qubit; gates on
-    other qubits may interleave.  Returns ``(qubit, index tuple)`` pairs
-    ordered by first index.
-    """
-    open_runs = {}
-    spans = []
-
-    def close(q):
-        if open_runs.get(q):
-            spans.append((q, tuple(open_runs.pop(q))))
-
-    for idx, g in enumerate(circuit.gates):
-        if g.is_single_qubit:
-            open_runs.setdefault(g.qubits[0], []).append(idx)
-        else:
-            for q in g.qubits:
-                close(q)
-    for q in sorted(open_runs):
-        close(q)
-    spans.sort(key=lambda item: item[1][0])
-    return spans

@@ -78,6 +78,14 @@ def _max_qubits(default=8):
     return min(max(value, 1), MAX_QUBITS)
 
 
+def _positive(name, value):
+    """``value`` if it is a number above zero; otherwise exit with an error."""
+    if not value > 0:  # also rejects nan
+        print(f"error: {name} must be positive, got {value}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    return value
+
+
 def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -128,7 +136,10 @@ def _compile_one(u, method, retarget, tol, max_qubits):
 
 
 def cmd_compile(args):
-    tol = Tolerances(tol_recon=args.tol) if args.tol else DEFAULT_TOL
+    tol = DEFAULT_TOL
+    if args.tol is not None:
+        tol = Tolerances(tol_recon=_positive("--tol", args.tol))
+    verify_tol = _positive("--verify-tol", args.verify_tol)
     max_qubits = _max_qubits()
     if args.matrix.startswith("haar:"):
         u = _haar_matrix(args.matrix, args.seed, max_qubits)
@@ -139,7 +150,7 @@ def cmd_compile(args):
     except (NotUnitary, NotPowerOfTwo) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    report = verify(c, u, tol=args.verify_tol)
+    report = verify(c, u, tol=verify_tol)
     text = emit_sequence(c) if args.retarget else render_qasm(c)
     if args.out:
         _write_text(args.out, text)
@@ -151,6 +162,7 @@ def cmd_compile(args):
 
 
 def cmd_retarget(args):
+    _positive("--tol", args.tol)
     text = _read_text(args.qasm)
     try:
         c = parse_qasm(text)
@@ -191,6 +203,7 @@ def _parse_circuit_file(path):
 
 
 def cmd_verify(args):
+    _positive("--tol", args.tol)
     c = _parse_circuit_file(args.circuit)
     if args.matrix.startswith("haar:"):
         print(f"error: verify needs a matrix file, got {args.matrix!r}", file=sys.stderr)
@@ -214,7 +227,11 @@ def cmd_bench(args):
     if not 1 <= args.n_min <= args.n_max <= cap:
         print(f"error: need 1 <= n-min <= n-max <= {cap}", file=sys.stderr)
         return EXIT_IO
+    _positive("--samples", args.samples)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        print(f"error: no method in --methods {args.methods!r}", file=sys.stderr)
+        return EXIT_IO
     rows = []
     for method_tag in methods:
         method, _, suffix = method_tag.partition("+")

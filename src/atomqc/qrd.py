@@ -110,8 +110,6 @@ def eliminate_controls(op, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL):
     controls = list(op.qubits[:-1])
     pol = list(op.polarities)
     for q in sorted(op.qubits[:-1]):
-        if q not in controls:
-            continue
         idx = controls.index(q)
         cand = cir.mcu(
             tuple(controls[:idx] + controls[idx + 1 :]),
@@ -134,8 +132,6 @@ def eliminate_controls(op, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL):
         controls.pop(idx)
         pol.pop(idx)
         op = cand
-        if op.kind != "MCU":
-            break
     return op
 
 

@@ -7,9 +7,8 @@ The output uses only RY/RZ/RX-free rotations and CNOT, and the CNOT count
 follows c_n = 4 c_{n-1} + 3 * 2^{n-1} exactly for non-degenerate inputs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg
 
 from . import circuit as cir
 from .barenco import lower_1q
@@ -18,7 +17,6 @@ from .linalg import DEFAULT_TOL, MAX_QUBITS, check_unitary, cs_decompose, demult
 from .qrd import _qubit_count, gcb_code
 
 __all__ = [
-    "MultiplexedRotation",
     "multiplexer_angles",
     "inverse_multiplexer_angles",
     "synth_multiplexed_rotation",
@@ -28,31 +26,12 @@ __all__ = [
 _IDENTITY_EPS = 1e-13
 
 
-@dataclass(frozen=True)
-class MultiplexedRotation:
-    """A rotation on ``target`` whose angle depends on the control pattern.
-
-    ``thetas[b]`` is the rotation applied when the controls (listed most
-    significant first) are in basis state ``b``.
-    """
-
-    axis: str
-    controls: tuple
-    target: int
-    thetas: tuple
-
-    def __post_init__(self):
-        if self.axis not in ("Y", "Z"):
-            raise ValueError("axis must be Y or Z")
-        if len(self.thetas) != 2 ** len(self.controls):
-            raise ValueError("need one angle per control basis state")
-
-
-def _gray_sign_matrix(k):
-    b = np.arange(2**k)
-    g = np.array([gcb_code(int(i)) for i in range(2**k)])
-    pops = np.array([[bin(int(bb) & int(gg)).count("1") for gg in g] for bb in b])
-    return np.where(pops % 2, -1.0, 1.0)
+def _gray_walsh_matrix(k):
+    """The sign matrix ``M`` of ``multiplexer_angles``: Hadamard columns in Gray order."""
+    g = np.arange(2**k)
+    # np.take returns C order (indexing [:, g] gives Fortran order, which
+    # changes the order in which BLAS sums the angle products).
+    return np.take(scipy.linalg.hadamard(2**k, dtype=float), g ^ (g >> 1), axis=1)
 
 
 def multiplexer_angles(thetas):
@@ -68,7 +47,7 @@ def multiplexer_angles(thetas):
         raise LengthNotPowerOfTwo(f"got {len(thetas)} angles")
     if k == 0:
         return thetas.copy()
-    m = _gray_sign_matrix(k)
+    m = _gray_walsh_matrix(k)
     return (m.T @ thetas) / 2**k
 
 
@@ -80,36 +59,36 @@ def inverse_multiplexer_angles(alphas):
         raise LengthNotPowerOfTwo(f"got {len(alphas)} angles")
     if k == 0:
         return alphas.copy()
-    return _gray_sign_matrix(k) @ alphas
+    return _gray_walsh_matrix(k) @ alphas
 
 
-def synth_multiplexed_rotation(mux):
+def synth_multiplexed_rotation(axis, controls, target, thetas):
     """Rotation/CNOT ladder implementing a multiplexed rotation exactly.
 
-    For k controls: 2^k rotations interleaved with 2^k CNOTs whose controls
-    follow the Gray-code change positions; k = 0 degenerates to one rotation.
+    ``thetas[b]`` is the angle of the ``axis`` ("Y" or "Z") rotation on
+    ``target`` when the controls (listed most significant first) are in
+    basis state ``b``.  For k controls: 2^k rotations interleaved with 2^k
+    CNOTs whose controls follow the Gray-code change positions; k = 0
+    degenerates to one rotation.
     """
-    k = len(mux.controls)
-    kind = "R" + mux.axis
+    rotation = {"Y": cir.ry, "Z": cir.rz}[axis]
+    k = len(controls)
     if k == 0:
-        return (cir.Gate(kind, (mux.target,), (float(mux.thetas[0]) % (2 * np.pi),)),)
-    alphas = multiplexer_angles(mux.thetas)
+        return (rotation(thetas[0], target),)
+    alphas = multiplexer_angles(thetas)
     gates = []
     for g in range(2**k):
-        gates.append(cir.Gate(kind, (mux.target,), (float(alphas[g]) % (2 * np.pi),)))
+        gates.append(rotation(alphas[g], target))
         nxt = gcb_code(g) ^ gcb_code((g + 1) % 2**k)
         bit = nxt.bit_length() - 1  # position from the LSB of the pattern
-        control = mux.controls[k - 1 - bit]
-        gates.append(cir.cnot(control, mux.target))
+        gates.append(cir.cnot(controls[k - 1 - bit], target))
     return tuple(gates)
 
 
 def _mux_rotation_gates(axis, controls, target, thetas, eps):
     if np.max(np.abs(thetas)) < eps:
         return ()
-    return synth_multiplexed_rotation(
-        MultiplexedRotation(axis, tuple(controls), target, tuple(thetas))
-    )
+    return synth_multiplexed_rotation(axis, controls, target, thetas)
 
 
 def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
@@ -128,18 +107,14 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
     gates = []
     phase = 0.0
 
-    def emit_1q(block, qubits):
-        nonlocal phase
-        frag = lower_1q(qubits[0], block, n)
-        gates.extend(frag.gates)
-        phase += frag.global_phase
-
     def descend(block, qubits):
         nonlocal phase
         if np.max(np.abs(block - np.eye(block.shape[0]))) < _IDENTITY_EPS:
             return
         if len(qubits) == 1:
-            emit_1q(block, qubits)
+            frag = lower_1q(qubits[0], block, n)
+            gates.extend(frag.gates)
+            phase += frag.global_phase
             return
         csd = cs_decompose(block, tol)
         select = qubits[0]
@@ -150,7 +125,6 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
         emit_multiplexer(csd.a1, csd.b1, select, lower)
 
     def emit_multiplexer(a, b, select, lower):
-        nonlocal phase
         if np.max(np.abs(a - b)) < _IDENTITY_EPS:
             # Same block on both select states: no multiplexing needed.
             descend(a, lower)
@@ -163,5 +137,4 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
         descend(dm.v, lower)
 
     descend(u, tuple(range(n)))
-    circuit = cir.Circuit(n, tuple(gates), phase)
-    return circuit
+    return cir.Circuit(n, tuple(gates), phase)

@@ -4,6 +4,8 @@ Every single-qubit unitary, stripped of its global phase, is a rotation of
 the Bloch sphere and hence a unit quaternion.  Composing two equal-duration
 pulses about equatorial axes covers the whole rotation group, so any
 single-qubit gate becomes exactly two C(theta, phi) pulses plus a phase.
+``synthesize_run`` emits fewer where the rotation allows: none for the
+identity, one for a rotation about an equatorial axis.
 """
 
 import math
@@ -23,10 +25,13 @@ __all__ = [
     "quaternion_to_unitary",
     "quaternion_multiply",
     "to_axis_angle",
+    "synthesize_run",
     "two_pulse_synthesis",
 ]
 
 _AXIS_EPS = 1e-12
+# |cos beta| below which a rotation axis counts as equatorial (one pulse).
+_EQUATOR_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,16 +137,6 @@ def to_axis_angle(q):
     return AxisAngle(alpha=alpha, axis=axis, beta=beta, phi_axis=phi_axis)
 
 
-def _pulse_pair(theta, delta, phi_mean, gamma):
-    return TwoPulse(
-        theta1=float(theta),
-        phi1=wrap_angle(phi_mean + delta / 2.0),
-        theta2=float(theta),
-        phi2=wrap_angle(phi_mean - delta / 2.0),
-        gamma=wrap_angle(gamma),
-    )
-
-
 def _closed_form(aa):
     """Solve the equal-theta ansatz for a rotation (alpha, beta, phi_axis).
 
@@ -175,7 +170,7 @@ def _closed_form(aa):
     rhs = np.sin(aa.alpha / 2.0) * np.sin(aa.beta)
     if lhs * rhs < 0:
         phi_mean += np.pi
-    return theta, delta, phi_mean
+    return float(theta), delta, phi_mean
 
 
 def _pulse_quaternion(theta, phi):
@@ -186,40 +181,64 @@ def _pulse_quaternion(theta, phi):
     return Quaternion(np.cos(half), np.sin(half) * np.cos(a), np.sin(half) * np.sin(a), 0.0)
 
 
-def _composed_quaternion(pair):
-    """Quaternion of the pulse pair, pulse 1 applied first."""
-    return quaternion_multiply(
-        _pulse_quaternion(pair.theta2, pair.phi2),
-        _pulse_quaternion(pair.theta1, pair.phi1),
+def _equal_pulses(aa):
+    """The closed-form pulse pair ``((theta, phi1), (theta, phi2))``, pulse 1 first."""
+    theta, delta, phi_mean = _closed_form(aa)
+    return (
+        (theta, wrap_angle(phi_mean + delta / 2.0)),
+        (theta, wrap_angle(phi_mean - delta / 2.0)),
     )
 
 
-def two_pulse_synthesis(u, tol=DEFAULT_TOL, precomputed=None):
-    """Exact two-pulse realization of an arbitrary single-qubit unitary.
+def _pulse_phase(pulses, q, gamma, tol):
+    """Global phase with which ``pulses`` (first fired first) realize e^{i gamma} q.
 
-    The closed form lands within float error for unitary input; its pulse
-    pair must compose to +-q within ``tol.tol_recon`` (quaternion distance),
-    and ``SynthesisFailure`` marks the (never expected) case where it does
-    not.
+    The pulse quaternions, composed, must match +-q within ``tol.tol_recon``
+    (quaternion distance), else ``SynthesisFailure``.  SU(2) factors
+    reproduce the quaternion only up to sign; the sign of the quaternion dot
+    product resolves the +-pi ambiguity in gamma without touching matrices.
     """
-    u = np.asarray(u, dtype=complex)
-    if precomputed is None:
-        q, gamma = quaternion_from_unitary(u, tol)
-    else:
-        q, gamma = precomputed
-    aa = to_axis_angle(q)
-    if aa.alpha <= _AXIS_EPS or 2 * np.pi - aa.alpha <= _AXIS_EPS:
-        return TwoPulse(0.0, 0.0, 0.0, 0.0, wrap_angle(gamma + (np.pi if q.w < 0 else 0.0)))
-    theta, delta, phi_mean = _closed_form(aa)
-    cand = _pulse_pair(theta, delta, phi_mean, gamma)
-    # Two SU(2) factors reproduce the quaternion only up to sign; the sign
-    # of the quaternion dot product resolves the +-pi ambiguity in gamma
-    # without touching matrices.
-    c = _composed_quaternion(cand)
+    c = _pulse_quaternion(*pulses[0])
+    for theta, phi in pulses[1:]:
+        c = quaternion_multiply(_pulse_quaternion(theta, phi), c)
     sign = 1.0 if c.w * q.w + c.x * q.x + c.y * q.y + c.z * q.z >= 0 else -1.0
     miss = math.dist((c.w, c.x, c.y, c.z), (sign * q.w, sign * q.x, sign * q.y, sign * q.z))
     if miss > tol.tol_recon:
-        raise SynthesisFailure(f"pulse pair misses the target rotation by {miss:.3e}")
-    if sign < 0:
-        cand = _pulse_pair(theta, delta, phi_mean, gamma + np.pi)
-    return cand
+        raise SynthesisFailure(f"pulses miss the target rotation by {miss:.3e}")
+    return wrap_angle(gamma + np.pi if sign < 0 else gamma)
+
+
+def synthesize_run(u, tol=DEFAULT_TOL):
+    """C pulses (0, 1 or 2 ``(theta, phi)`` pairs, first fired first) and phase gamma.
+
+    ``e^{i gamma}`` times the pulses, composed, equals the 2x2 unitary ``u``.
+    A rotation by less than ``tol.tol_recon`` (modulo 2 pi) is the identity
+    and emits nothing; a rotation whose axis lies on the equator is one pulse
+    of duration alpha; every other rotation is the equal-theta pulse pair.
+    """
+    q, gamma = quaternion_from_unitary(u, tol)
+    aa = to_axis_angle(q)
+    if aa.alpha <= tol.tol_recon or 2 * np.pi - aa.alpha <= tol.tol_recon:
+        # Only the phase survives (q ~ -1 hides a pi of it).
+        return (), wrap_angle(gamma + np.pi if q.w < 0 else gamma)
+    if abs(np.cos(aa.beta)) < _EQUATOR_EPS:
+        pulses = ((aa.alpha, wrap_angle(np.pi / 2.0 - aa.phi_axis)),)
+    else:
+        pulses = _equal_pulses(aa)
+    return pulses, _pulse_phase(pulses, q, gamma, tol)
+
+
+def two_pulse_synthesis(u, tol=DEFAULT_TOL):
+    """Exact two-pulse realization of an arbitrary single-qubit unitary.
+
+    The paper's construction: always two equal pulses, also where
+    ``synthesize_run`` would emit fewer; the identity (to within
+    ``_AXIS_EPS``) is the degenerate pair theta = 0.
+    """
+    q, gamma = quaternion_from_unitary(u, tol)
+    aa = to_axis_angle(q)
+    if aa.alpha <= _AXIS_EPS or 2 * np.pi - aa.alpha <= _AXIS_EPS:
+        return TwoPulse(0.0, 0.0, 0.0, 0.0, wrap_angle(gamma + np.pi if q.w < 0 else gamma))
+    pulses = _equal_pulses(aa)
+    (theta, phi1), (_, phi2) = pulses
+    return TwoPulse(theta, phi1, theta, phi2, _pulse_phase(pulses, q, gamma, tol))

@@ -11,11 +11,9 @@ import numpy as np
 from . import circuit as cir
 from .exceptions import UnsupportedGate
 from .linalg import DEFAULT_TOL, wrap_angle
-from .quaternion import quaternion_from_unitary, to_axis_angle, two_pulse_synthesis
+from .quaternion import synthesize_run
 
-__all__ = ["retarget_circuit", "synthesize_run"]
-
-_EQUATOR_EPS = 1e-9
+__all__ = ["retarget_circuit"]
 
 
 def _entangling_rewrite(g):
@@ -31,67 +29,42 @@ def _entangling_rewrite(g):
     raise UnsupportedGate(f"cannot retarget {g.kind} gate; lower it first")
 
 
-def synthesize_run(u, tol=DEFAULT_TOL):
-    """C pulses (0, 1 or 2 of them) plus phase realizing a fused 2x2 unitary.
-
-    Identity runs emit nothing; runs whose rotation axis already lies on the
-    equator need a single pulse; everything else takes the generic two-pulse
-    path.
-    """
-    q, phase = quaternion_from_unitary(u, tol)
-    aa = to_axis_angle(q)
-    if aa.alpha <= tol.tol_recon or 2 * np.pi - aa.alpha <= tol.tol_recon:
-        # Identity run: only the phase survives (q ~ -1 hides a pi of it).
-        if q.w < 0:
-            phase += np.pi
-        return (), float(wrap_angle(phase))
-    if abs(np.cos(aa.beta)) < _EQUATOR_EPS:
-        # Equatorial axis: one pulse of duration alpha suffices.
-        pulse = cir.c_gate(aa.alpha, wrap_angle(np.pi / 2.0 - aa.phi_axis), 0)
-        for g in (phase, phase + np.pi):
-            if np.max(np.abs(np.exp(1j * g) * cir.gate_local_matrix(pulse) - u)) <= tol.tol_recon:
-                return ((pulse.kind, pulse.params),), float(wrap_angle(g))
-    tp = two_pulse_synthesis(u, tol, precomputed=(q, phase))
-    pulses = []
-    for theta, phi in ((tp.theta1, tp.phi1), (tp.theta2, tp.phi2)):
-        if abs(theta) > tol.tol_zero:
-            pulses.append(("C", (float(theta), float(phi))))
-    return tuple(pulses), float(tp.gamma)
-
-
 def retarget_circuit(c, tol=DEFAULT_TOL):
     """Rewrite a lowered circuit over the native set {C, CZ, CCZ}.
 
+    One pass: each qubit's single-qubit run is folded into a 2x2 until an
+    entangling gate touches that qubit (or the circuit ends), and its pulses
+    fill the slot reserved where the run began, so the gate order holds.
     Raises ``UnsupportedGate`` for any gate outside
     {single-qubit, CNOT, Toffoli, CZ, CCZ}; multi-controlled and matrix
     gates must be lowered first.
     """
-    staged = []
-    for g in c.gates:
-        if g.is_single_qubit:
-            staged.append(g)
-        else:
-            staged.extend(_entangling_rewrite(g))
-    inter = cir.Circuit(c.n_qubits, tuple(staged), c.global_phase)
-
-    replacement = {}
-    dropped = set()
+    slots = []  # one tuple of output gates per run or entangling gate
+    runs = {}  # qubit -> (slot index, fused 2x2 of its open run)
     phase = c.global_phase
-    for qubit, indices in cir.collect_single_qubit_runs(inter):
-        u = np.eye(2, dtype=complex)
-        for i in indices:
-            u = cir.gate_local_matrix(inter.gates[i]) @ u
-        pulses, gamma = synthesize_run(u, tol)
-        phase += gamma
-        dropped.update(indices)
-        replacement[indices[0]] = tuple(
-            cir.c_gate(params[0], params[1], qubit) for _, params in pulses
-        )
 
-    out = []
-    for i, g in enumerate(inter.gates):
-        if i in replacement:
-            out.extend(replacement[i])
-        elif i not in dropped:
-            out.append(g)
-    return cir.Circuit(c.n_qubits, tuple(out), wrap_angle(phase))
+    def close(q):
+        nonlocal phase
+        slot, u = runs.pop(q)
+        pulses, gamma = synthesize_run(u, tol)
+        slots[slot] = tuple(cir.c_gate(theta, phi, q) for theta, phi in pulses)
+        phase += gamma
+
+    for g in c.gates:
+        for r in (g,) if g.is_single_qubit else _entangling_rewrite(g):
+            if r.is_single_qubit:
+                q = r.qubits[0]
+                if q not in runs:
+                    runs[q] = (len(slots), np.eye(2, dtype=complex))
+                    slots.append(())
+                slot, u = runs[q]
+                runs[q] = (slot, cir.gate_local_matrix(r) @ u)
+            else:
+                for q in r.qubits:
+                    if q in runs:
+                        close(q)
+                slots.append((r,))
+    for q in list(runs):
+        close(q)
+    gates = tuple(g for slot in slots for g in slot)
+    return cir.Circuit(c.n_qubits, gates, wrap_angle(phase))

@@ -11,6 +11,8 @@ def test_rotation_angles_canonicalized():
     g = cir.rz(-np.pi / 2, 0)
     assert 0 <= g.params[0] < 2 * np.pi
     assert g.params[0] == pytest.approx(3 * np.pi / 2)
+    # -1e-17 mod 2 pi rounds to exactly 2 pi, which must become 0.
+    assert cir.rz(-1e-17, 0).params[0] == 0.0
 
 
 def test_gate_equality_with_matrices():
@@ -80,28 +82,3 @@ def test_gate_counts():
     assert counts.get("CNOT") == 1
     assert counts.entangling_total == 2
     assert counts.single_qubit_total == 2
-    total = counts + counts
-    assert total.get("H") == 4
-
-
-def test_collect_runs_interleaving():
-    # Gates on other qubits must not break a run; touching gates must.
-    c = cir.Circuit(
-        2,
-        (
-            cir.h(0),      # 0: run on q0
-            cir.x(1),      # 1: run on q1
-            cir.rz(0.3, 0),  # 2: still run on q0
-            cir.cnot(0, 1),  # 3: breaks both
-            cir.h(1),      # 4: new run on q1
-        ),
-    )
-    runs = cir.collect_single_qubit_runs(c)
-    assert runs == [(0, (0, 2)), (1, (1,)), (1, (4,))]
-
-
-def test_collect_runs_empty_and_ordering():
-    assert cir.collect_single_qubit_runs(cir.Circuit(2, (cir.cz(0, 1),))) == []
-    c = cir.Circuit(2, (cir.h(1), cir.h(0)))
-    runs = cir.collect_single_qubit_runs(c)
-    assert [q for q, _ in runs] == [1, 0]

@@ -239,6 +239,20 @@ def test_report_csv_row():
         (["verify", "{corpus}/bell.qasm", "haar:2"], {}, EXIT_BAD_MATRIX,
          "verify needs a matrix file"),
         (["verify", "{tmp}/nan.seq", "{tmp}/eye4.mat"], {}, EXIT_PARSE, "must be finite"),
+        (["compile", "haar:2", "--tol", "-1"], {}, EXIT_IO, "--tol must be positive"),
+        (["compile", "haar:2", "--tol", "0"], {}, EXIT_IO, "--tol must be positive"),
+        (["compile", "haar:2", "--verify-tol", "0"], {}, EXIT_IO,
+         "--verify-tol must be positive"),
+        (["compile", "haar:2", "--verify-tol=-1e-7"], {}, EXIT_IO,
+         "--verify-tol must be positive"),
+        (["retarget", "{corpus}/bell.qasm", "--tol", "0"], {}, EXIT_IO,
+         "--tol must be positive"),
+        (["verify", "{corpus}/bell.qasm", "{tmp}/eye4.mat", "--tol", "nan"], {}, EXIT_IO,
+         "--tol must be positive"),
+        (["bench", "--n-min", "1", "--n-max", "1", "--methods", ","], {}, EXIT_IO,
+         "no method in --methods"),
+        (["bench", "--n-min", "1", "--n-max", "1", "--samples", "0"], {}, EXIT_IO,
+         "--samples must be positive"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):

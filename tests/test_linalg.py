@@ -1,5 +1,7 @@
 """Tests for the shared linear-algebra layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,8 @@ def test_wrap_angle_principal_branch():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert wrap_angle(3 * np.pi) == pytest.approx(np.pi)
     assert wrap_angle(0.1 + 4 * np.pi) == pytest.approx(0.1)
+    # Just above pi the modulo rounds to 2 pi; the result must stay in (-pi, pi].
+    assert wrap_angle(math.nextafter(math.pi, 4)) == math.pi
     xs = RNG.uniform(-20, 20, 100)
     ws = wrap_angle(xs)
     assert np.all(ws > -np.pi) and np.all(ws <= np.pi)

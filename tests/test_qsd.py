@@ -9,7 +9,6 @@ from atomqc.circuit import rotation_matrix
 from atomqc.exceptions import LengthNotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.qsd import (
-    MultiplexedRotation,
     inverse_multiplexer_angles,
     multiplexer_angles,
     qsd_compile,
@@ -39,21 +38,12 @@ def test_multiplexer_angles_bad_length():
 @pytest.mark.parametrize("axis", ["Y", "Z"])
 def test_multiplexed_rotation_matches_block_diagonal(k, axis):
     thetas = RNG.uniform(-np.pi, np.pi, 2**k)
-    gates = synth_multiplexed_rotation(
-        MultiplexedRotation(axis, tuple(range(k)), k, tuple(thetas))
-    )
+    gates = synth_multiplexed_rotation(axis, tuple(range(k)), k, thetas)
     got = circuit_unitary(cir.Circuit(k + 1, gates))
     expect = scipy.linalg.block_diag(*[rotation_matrix(axis, t) for t in thetas])
     assert phase_distance(got, expect) < 1e-12
     cnots = [g for g in gates if g.kind == "CNOT"]
     assert len(cnots) == (2**k if k else 0)
-
-
-def test_multiplexed_rotation_validation():
-    with pytest.raises(ValueError):
-        MultiplexedRotation("X", (0,), 1, (0.1, 0.2))
-    with pytest.raises(ValueError):
-        MultiplexedRotation("Y", (0,), 1, (0.1,))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -157,3 +157,10 @@ def test_two_pulse_rejects_a_missed_rotation(monkeypatch):
     monkeypatch.setattr(quaternion, "_closed_form", bent)
     with pytest.raises(SynthesisFailure):
         two_pulse_synthesis(haar_unitary(2, np.random.default_rng(5)))
+
+
+def test_one_pulse_path_shares_the_acceptance_check(monkeypatch):
+    # Forced onto the one-pulse path, a tilted axis misses its rotation.
+    monkeypatch.setattr(quaternion, "_EQUATOR_EPS", 2.0)
+    with pytest.raises(SynthesisFailure):
+        quaternion.synthesize_run(H)

@@ -7,7 +7,8 @@ from atomqc import circuit as cir
 from atomqc.exceptions import UnsupportedGate
 from atomqc.linalg import haar_unitary, phase_distance, random_unitary
 from atomqc.qsd import qsd_compile
-from atomqc.retarget import retarget_circuit, synthesize_run
+from atomqc.quaternion import synthesize_run
+from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary
 
 RNG = np.random.default_rng(31)
@@ -118,7 +119,60 @@ def test_synthesize_run_counts():
         pulses, gamma = synthesize_run(u)
         assert len(pulses) <= 2
         recon = np.exp(1j * gamma) * np.eye(2)
-        for kind, (theta, phi) in pulses:
-            assert kind == "C"
+        for theta, phi in pulses:
             recon = cir.c_matrix(theta, phi) @ recon
         assert np.max(np.abs(recon - u)) < 1e-9
+
+
+def _run_pulses(u, q):
+    pulses, _ = synthesize_run(u)
+    return [cir.c_gate(theta, phi, q) for theta, phi in pulses]
+
+
+def _assert_same_gates(got, expect):
+    assert [(g.kind, g.qubits) for g in got] == [(e.kind, e.qubits) for e in expect]
+    for g, e in zip(got, expect):
+        assert g.params == pytest.approx(e.params, abs=1e-12)
+
+
+def test_runs_interleaving():
+    # Gates on other qubits must not break a run; touching gates must.
+    before = cir.Circuit(
+        2,
+        (
+            cir.h(0),        # run on q0 begins
+            cir.x(1),        # run on q1 begins
+            cir.rz(0.3, 0),  # still the q0 run
+            cir.cnot(0, 1),  # H on q1 joins its run, CZ breaks both, H opens a q1 run
+            cir.h(1),        # cancels that H: the new q1 run is the identity
+        ),
+    )
+    after = retarget_circuit(before)
+    h = cir.gate_local_matrix(cir.h(0))
+    q0_run = cir.gate_local_matrix(cir.rz(0.3, 0)) @ h
+    q1_run = h @ cir.gate_local_matrix(cir.x(1))
+    expect = _run_pulses(q0_run, 0) + _run_pulses(q1_run, 1) + [cir.cz(0, 1)]
+    assert len(expect) == 4  # q0 takes two pulses, q1 one
+    _assert_same_gates(after.gates, expect)
+    _check_equivalent(before, after)
+
+
+def test_runs_empty_and_ordering():
+    assert retarget_circuit(cir.Circuit(2, (cir.cz(0, 1),))).gates == (cir.cz(0, 1),)
+    # Pulses sit where each run began, not where it was closed: the CZ closes
+    # q0's run first, yet q1's run began first.
+    h = cir.gate_local_matrix(cir.h(0))
+    for tail in ((), (cir.cz(0, 1),)):
+        before = cir.Circuit(2, (cir.h(1), cir.h(0), cir.rz(0.3, 1)) + tail)
+        after = retarget_circuit(before)
+        q1_run = cir.gate_local_matrix(cir.rz(0.3, 1)) @ h
+        _assert_same_gates(after.gates, _run_pulses(q1_run, 1) + _run_pulses(h, 0) + list(tail))
+        _check_equivalent(before, after)
+
+
+def test_pulse_angles_in_range():
+    # The pulse phase lands a hair below 0, and mod 2 pi once rounded it to 2 pi.
+    after = retarget_circuit(cir.Circuit(1, (cir.rz(np.pi / 2, 0), cir.ry(np.pi / 2, 0))))
+    assert after.gates and all(g.kind == "C" for g in after.gates)
+    for g in after.gates:
+        assert all(0.0 <= p < 2 * np.pi for p in g.params)
