@@ -68,12 +68,10 @@ def check_unitary(m, tol=DEFAULT_TOL.tol_unitary, what="matrix"):
 
 def wrap_angle(x):
     """Wrap an angle into the principal branch (-pi, pi]."""
+    y = -((-np.asarray(x, dtype=float) + np.pi) % (2 * np.pi) - np.pi)
     # Just above pi the modulo rounds up to exactly 2 pi, which gives -pi.
-    if np.ndim(x):
-        y = -((-np.asarray(x) + np.pi) % (2 * np.pi) - np.pi)
-        return np.where(y == -np.pi, np.pi, y)
-    y = -((-float(x) + np.pi) % (2 * np.pi) - np.pi)
-    return np.pi if y == -np.pi else y
+    y = np.where(y == -np.pi, np.pi, y)
+    return y if np.ndim(x) else float(y)
 
 
 @dataclass(frozen=True)

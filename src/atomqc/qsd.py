@@ -71,8 +71,10 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
     CNOTs whose controls follow the Gray-code change positions; k = 0
     degenerates to one rotation.
     """
-    rotation = {"Y": cir.ry, "Z": cir.rz}[axis]
     k = len(controls)
+    if axis not in ("Y", "Z") or len(thetas) != 2**k:
+        raise ValueError("need axis Y or Z and one angle per control basis state")
+    rotation = {"Y": cir.ry, "Z": cir.rz}[axis]
     if k == 0:
         return (rotation(thetas[0], target),)
     alphas = multiplexer_angles(thetas)

@@ -191,15 +191,15 @@ def _equal_pulses(aa):
 
 
 def _pulse_phase(pulses, q, gamma, tol):
-    """Global phase with which ``pulses`` (first fired first) realize e^{i gamma} q.
+    """Global phase with which ``pulses`` (first fired first, or none) realize e^{i gamma} q.
 
     The pulse quaternions, composed, must match +-q within ``tol.tol_recon``
     (quaternion distance), else ``SynthesisFailure``.  SU(2) factors
     reproduce the quaternion only up to sign; the sign of the quaternion dot
     product resolves the +-pi ambiguity in gamma without touching matrices.
     """
-    c = _pulse_quaternion(*pulses[0])
-    for theta, phi in pulses[1:]:
+    c = Quaternion(1.0, 0.0, 0.0, 0.0)
+    for theta, phi in pulses:
         c = quaternion_multiply(_pulse_quaternion(theta, phi), c)
     sign = 1.0 if c.w * q.w + c.x * q.x + c.y * q.y + c.z * q.z >= 0 else -1.0
     miss = math.dist((c.w, c.x, c.y, c.z), (sign * q.w, sign * q.x, sign * q.y, sign * q.z))
@@ -219,9 +219,10 @@ def synthesize_run(u, tol=DEFAULT_TOL):
     q, gamma = quaternion_from_unitary(u, tol)
     aa = to_axis_angle(q)
     if aa.alpha <= tol.tol_recon or 2 * np.pi - aa.alpha <= tol.tol_recon:
-        # Only the phase survives (q ~ -1 hides a pi of it).
-        return (), wrap_angle(gamma + np.pi if q.w < 0 else gamma)
-    if abs(np.cos(aa.beta)) < _EQUATOR_EPS:
+        pulses = ()
+    elif abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol.tol_recon / 2.0):
+        # One pulse misses q by about sin(alpha/2) |cos beta|, so the axis
+        # must also lie within tol_recon / 2 of the equator to pass the check.
         pulses = ((aa.alpha, wrap_angle(np.pi / 2.0 - aa.phi_axis)),)
     else:
         pulses = _equal_pulses(aa)

@@ -40,7 +40,7 @@ def retarget_circuit(c, tol=DEFAULT_TOL):
     gates must be lowered first.
     """
     slots = []  # one tuple of output gates per run or entangling gate
-    runs = {}  # qubit -> (slot index, fused 2x2 of its open run)
+    runs = {}  # qubit -> [slot index, fused 2x2 of its open run]
     phase = c.global_phase
 
     def close(q):
@@ -55,10 +55,9 @@ def retarget_circuit(c, tol=DEFAULT_TOL):
             if r.is_single_qubit:
                 q = r.qubits[0]
                 if q not in runs:
-                    runs[q] = (len(slots), np.eye(2, dtype=complex))
+                    runs[q] = [len(slots), np.eye(2, dtype=complex)]
                     slots.append(())
-                slot, u = runs[q]
-                runs[q] = (slot, cir.gate_local_matrix(r) @ u)
+                runs[q][1] = cir.gate_local_matrix(r) @ runs[q][1]
             else:
                 for q in r.qubits:
                     if q in runs:

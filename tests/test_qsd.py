@@ -46,6 +46,15 @@ def test_multiplexed_rotation_matches_block_diagonal(k, axis):
     assert len(cnots) == (2**k if k else 0)
 
 
+def test_multiplexed_rotation_validation():
+    with pytest.raises(ValueError):
+        synth_multiplexed_rotation("X", (0,), 1, (0.1, 0.2))
+    with pytest.raises(ValueError):
+        synth_multiplexed_rotation("Y", (0,), 1, (0.1,))
+    with pytest.raises(ValueError):
+        synth_multiplexed_rotation("Y", (0,), 1, (0.1, 0.2, 0.3, 0.4))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_round_trip(n):
     u = random_unitary(n, seed=n)

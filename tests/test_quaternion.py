@@ -160,7 +160,15 @@ def test_two_pulse_rejects_a_missed_rotation(monkeypatch):
 
 
 def test_one_pulse_path_shares_the_acceptance_check(monkeypatch):
-    # Forced onto the one-pulse path, a tilted axis misses its rotation.
-    monkeypatch.setattr(quaternion, "_EQUATOR_EPS", 2.0)
-    with pytest.raises(SynthesisFailure):
-        quaternion.synthesize_run(H)
+    # The one-pulse (equatorial) and two-pulse runs pass the same check.
+    real = quaternion._pulse_phase
+    checked = []
+
+    def spy(pulses, *args):
+        checked.append(len(pulses))
+        return real(pulses, *args)
+
+    monkeypatch.setattr(quaternion, "_pulse_phase", spy)
+    assert len(quaternion.synthesize_run(rotation_matrix("X", 0.7))[0]) == 1
+    assert len(quaternion.synthesize_run(H)[0]) == 2
+    assert checked == [1, 2]

@@ -5,7 +5,13 @@ import pytest
 
 from atomqc import circuit as cir
 from atomqc.exceptions import UnsupportedGate
-from atomqc.linalg import haar_unitary, phase_distance, random_unitary
+from atomqc.linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    haar_unitary,
+    phase_distance,
+    random_unitary,
+)
 from atomqc.qsd import qsd_compile
 from atomqc.quaternion import synthesize_run
 from atomqc.retarget import retarget_circuit
@@ -114,9 +120,17 @@ def test_unsupported_gate_rejected():
 def test_synthesize_run_counts():
     pulses, _ = synthesize_run(np.eye(2, dtype=complex))
     assert pulses == ()
-    for _ in range(50):
-        u = haar_unitary(2, RNG)
-        pulses, gamma = synthesize_run(u)
+    # An axis 5e-10 off the equator: one pulse would miss q by ~2.4e-10,
+    # more than a tol_recon of 1e-10, so this run needs the pulse pair.
+    cos_b, sin_b = 5e-10, np.sqrt(1.0 - 5e-10**2)
+    n_sigma = np.array(
+        [[cos_b, sin_b * np.exp(-0.3j)], [sin_b * np.exp(0.3j), -cos_b]]
+    )
+    near_equator = np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * n_sigma
+    cases = [(haar_unitary(2, RNG), DEFAULT_TOL) for _ in range(50)]
+    cases.append((near_equator, Tolerances(tol_recon=1e-10)))
+    for u, tol in cases:
+        pulses, gamma = synthesize_run(u, tol)
         assert len(pulses) <= 2
         recon = np.exp(1j * gamma) * np.eye(2)
         for theta, phi in pulses:
