@@ -2,8 +2,8 @@
 
 Subcommands: ``compile`` (matrix file to circuit), ``retarget`` (QASM to
 SEQUENCE), ``verify`` (circuit vs matrix), ``bench`` (count/time sweep over
-Haar samples).  Exit codes are a stable contract: 0 ok, 1 I/O, 2 invalid
-input matrix, 3 verification failure, 4 parse error.
+Haar samples).  Exit codes are a stable contract: 0 ok, 1 I/O or usage
+error, 2 invalid input matrix, 3 verification failure, 4 parse error.
 """
 
 import argparse
@@ -254,8 +254,16 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 means an invalid input matrix here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atomqc",
         description="Compile unitary matrices to neutral-atom pulse sequences.",
     )
@@ -297,8 +305,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO

@@ -24,6 +24,7 @@ __all__ = [
     "MAX_QUBITS",
     "CsdResult",
     "DemuxResult",
+    "unitarity_defect",
     "is_unitary",
     "check_unitary",
     "cs_decompose",
@@ -53,12 +54,18 @@ DEFAULT_TOL = Tolerances()
 MAX_QUBITS = 12
 
 
+def unitarity_defect(m):
+    """max |M^dagger M - I| of a square matrix, or of each matrix in a stack."""
+    m = np.asarray(m)
+    eye = np.eye(m.shape[-1])
+    return np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), axis=(-2, -1))
+
+
 def is_unitary(m, tol=DEFAULT_TOL.tol_unitary):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    eye = np.eye(m.shape[0])
-    return np.max(np.abs(m.conj().T @ m - eye)) <= tol
+    return unitarity_defect(m) <= tol
 
 
 def check_unitary(m, tol=DEFAULT_TOL.tol_unitary, what="matrix"):

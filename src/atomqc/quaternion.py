@@ -4,18 +4,21 @@ Every single-qubit unitary, stripped of its global phase, is a rotation of
 the Bloch sphere and hence a unit quaternion.  Composing two equal-duration
 pulses about equatorial axes covers the whole rotation group, so any
 single-qubit gate becomes exactly two C(theta, phi) pulses plus a phase.
-``synthesize_run`` emits fewer where the rotation allows: none for the
+``synthesize_runs`` emits fewer where the rotation allows: none for the
 identity, one for a rotation about an equatorial axis.
+
+The helpers are elementwise: a ``(2, 2)`` unitary gives float fields, a
+stack of shape ``(m, 2, 2)`` gives arrays of length ``m``, through the same
+code.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import c_matrix
-from .exceptions import SynthesisFailure
-from .linalg import DEFAULT_TOL, check_unitary, wrap_angle
+from .exceptions import NotUnitary, SynthesisFailure
+from .linalg import DEFAULT_TOL, unitarity_defect, wrap_angle
 
 __all__ = [
     "Quaternion",
@@ -26,6 +29,7 @@ __all__ = [
     "quaternion_multiply",
     "to_axis_angle",
     "synthesize_run",
+    "synthesize_runs",
     "two_pulse_synthesis",
 ]
 
@@ -34,9 +38,29 @@ _AXIS_EPS = 1e-12
 _EQUATOR_EPS = 1e-9
 
 
+def _pick(cond, a, b):
+    """``np.where`` that gives a numpy scalar, not a 0-d array, for scalar input."""
+    return np.where(cond, a, b)[()]
+
+
+def _reject(exc_type, bad, values, what):
+    """Raise ``exc_type`` for the first row where ``bad`` holds, naming its value.
+
+    The exception's ``row`` attribute is the index of that row.
+    """
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        exc = exc_type(f"{what} {np.ravel(values)[rows[0]]:.3e}")
+        exc.row = int(rows[0])
+        raise exc
+
+
 @dataclass(frozen=True)
 class Quaternion:
-    """Unit quaternion q = w + x i + y j + z k representing a rotation."""
+    """Unit quaternion q = w + x i + y j + z k representing a rotation.
+
+    Fields are floats, or equal-shape arrays for a batch of rotations.
+    """
 
     w: float
     x: float
@@ -44,7 +68,7 @@ class Quaternion:
     z: float
 
     def norm(self):
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
+        return np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def normalized(self):
         n = self.norm()
@@ -57,6 +81,7 @@ class AxisAngle:
 
     The axis is also carried in spherical form,
     ``axis = (cos(phi_axis) sin(beta), sin(phi_axis) sin(beta), cos(beta))``.
+    Fields are floats, or arrays for a batch, like ``Quaternion``'s.
     """
 
     alpha: float
@@ -71,7 +96,9 @@ class TwoPulse:
 
     Pulse 1 fires first (it is the rightmost matrix factor).  The equal-area
     ansatz forces theta1 = theta2; a degenerate pulse (theta = 0) stands for
-    "no pulse emitted".
+    "no pulse emitted", so a one-pulse run has theta2 = 0.  Fields are
+    floats, or arrays for the runs of ``synthesize_runs``; ``reconstruct``
+    takes floats.
     """
 
     theta1: float
@@ -87,20 +114,26 @@ class TwoPulse:
 
 
 def quaternion_from_unitary(u, tol=DEFAULT_TOL):
-    """Split U into a unit quaternion and a global phase.
+    """Split U, a 2x2 unitary or a stack of them, into unit quaternions and global phases.
 
     The phase is arg(det U)/2 on the principal branch; the remaining
     special-unitary part maps through U' = wI - i(x sx + y sy + z sz).
+    Raises ``NotUnitary`` for the first matrix off unitarity by more than
+    ``tol.tol_unitary``.
     """
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
+    if u.shape[-2:] != (2, 2):
+        raise NotUnitary(f"expected 2x2 matrices, got shape {u.shape}")
+    defect = unitarity_defect(u)
+    _reject(NotUnitary, ~(defect <= tol.tol_unitary), defect,
+            f"not unitary to tolerance {tol.tol_unitary:g}: defect")
     phase = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
-    su = u * np.exp(-1j * phase)
+    su = u * np.exp(-1j * np.asarray(phase))[..., None, None]
     q = Quaternion(
-        w=float(su[0, 0].real),
-        x=float(-su[0, 1].imag),
-        y=float(-su[0, 1].real),
-        z=float(-su[0, 0].imag),
+        w=su[..., 0, 0].real,
+        x=-su[..., 0, 1].imag,
+        y=-su[..., 0, 1].real,
+        z=-su[..., 0, 0].imag,
     )
     return q.normalized(), phase
 
@@ -126,14 +159,18 @@ def quaternion_multiply(q2, q1):
 
 def to_axis_angle(q):
     """Angle in [0, 2 pi) and unit axis; identity maps to the +z axis."""
-    vec_norm = float(np.hypot(np.hypot(q.x, q.y), q.z))
-    if vec_norm <= _AXIS_EPS:
-        return AxisAngle(alpha=0.0, axis=(0.0, 0.0, 1.0), beta=0.0, phi_axis=0.0)
-    alpha = 2.0 * float(np.arctan2(vec_norm, q.w)) % (2 * np.pi)
-    axis = (q.x / vec_norm, q.y / vec_norm, q.z / vec_norm)
+    vec_norm = np.hypot(np.hypot(q.x, q.y), q.z)
+    ident = vec_norm <= _AXIS_EPS
+    safe_norm = _pick(ident, 1.0, vec_norm)
+    axis = (
+        _pick(ident, 0.0, q.x / safe_norm),
+        _pick(ident, 0.0, q.y / safe_norm),
+        _pick(ident, 1.0, q.z / safe_norm),
+    )
+    alpha = _pick(ident, 0.0, 2.0 * np.arctan2(vec_norm, q.w) % (2 * np.pi))
     # arccos(axis_z) would lose half its digits near the poles.
-    beta = float(np.arctan2(np.hypot(q.x, q.y), q.z))
-    phi_axis = float(np.arctan2(axis[1], axis[0]))
+    beta = _pick(ident, 0.0, np.arctan2(np.hypot(q.x, q.y), q.z))
+    phi_axis = _pick(ident, 0.0, np.arctan2(axis[1], axis[0]))
     return AxisAngle(alpha=alpha, axis=axis, beta=beta, phi_axis=phi_axis)
 
 
@@ -153,24 +190,25 @@ def _closed_form(aa):
     p = 2.0 * np.sin(aa.alpha / 4.0) ** 2
     q = np.sin(aa.alpha / 2.0) * np.cos(aa.beta)
     delta = 2.0 * np.arctan2(-q, p)
-    s = (p * p + q * q) / (2.0 * p)
-    s = float(np.clip(s, 0.0, 1.0))
-    if s < 0.5:
-        theta = 2.0 * np.arcsin(np.sqrt(s))
-    else:
+    # P = 0 only for the identity, whose rows the caller masks out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((p * p + q * q) / (2.0 * p), 0.0, 1.0)
         # Near s = 1 (axis close to z) arcsin(sqrt(s)) loses half the
         # significant digits; 1 - s has the stable closed form
         # sin^2(alpha/2) sin^2(beta) / (2P).
         one_minus_s = (np.sin(aa.alpha / 2.0) * np.sin(aa.beta)) ** 2 / (2.0 * p)
-        theta = np.pi - 2.0 * np.arcsin(np.sqrt(np.clip(one_minus_s, 0.0, 1.0)))
+    theta = _pick(
+        s < 0.5,
+        2.0 * np.arcsin(np.sqrt(s)),
+        np.pi - 2.0 * np.arcsin(np.sqrt(np.clip(one_minus_s, 0.0, 1.0))),
+    )
     phi_mean = np.pi / 2.0 - aa.phi_axis
     # The equatorial component of the composed rotation must point along the
     # target axis, not against it.
     lhs = np.sin(theta) * np.cos(delta / 2.0)
     rhs = np.sin(aa.alpha / 2.0) * np.sin(aa.beta)
-    if lhs * rhs < 0:
-        phi_mean += np.pi
-    return float(theta), delta, phi_mean
+    phi_mean = _pick(lhs * rhs < 0, phi_mean + np.pi, phi_mean)
+    return theta, delta, phi_mean
 
 
 def _pulse_quaternion(theta, phi):
@@ -191,42 +229,67 @@ def _equal_pulses(aa):
 
 
 def _pulse_phase(pulses, q, gamma, tol):
-    """Global phase with which ``pulses`` (first fired first, or none) realize e^{i gamma} q.
+    """Global phase with which ``pulses`` (first fired first) realize e^{i gamma} q.
 
-    The pulse quaternions, composed, must match +-q within ``tol.tol_recon``
-    (quaternion distance), else ``SynthesisFailure``.  SU(2) factors
-    reproduce the quaternion only up to sign; the sign of the quaternion dot
-    product resolves the +-pi ambiguity in gamma without touching matrices.
+    A pulse with theta = 0 is the identity, so one call checks runs of 0, 1
+    and 2 pulses together.  The pulse quaternions, composed, must match +-q
+    within ``tol.tol_recon`` (quaternion distance), else ``SynthesisFailure``.
+    SU(2) factors reproduce the quaternion only up to sign; the sign of the
+    quaternion dot product resolves the +-pi ambiguity in gamma without
+    touching matrices.
     """
     c = Quaternion(1.0, 0.0, 0.0, 0.0)
     for theta, phi in pulses:
         c = quaternion_multiply(_pulse_quaternion(theta, phi), c)
-    sign = 1.0 if c.w * q.w + c.x * q.x + c.y * q.y + c.z * q.z >= 0 else -1.0
-    miss = math.dist((c.w, c.x, c.y, c.z), (sign * q.w, sign * q.x, sign * q.y, sign * q.z))
-    if miss > tol.tol_recon:
-        raise SynthesisFailure(f"pulses miss the target rotation by {miss:.3e}")
-    return wrap_angle(gamma + np.pi if sign < 0 else gamma)
+    sign = _pick(c.w * q.w + c.x * q.x + c.y * q.y + c.z * q.z >= 0, 1.0, -1.0)
+    miss = np.sqrt(
+        (c.w - sign * q.w) ** 2 + (c.x - sign * q.x) ** 2
+        + (c.y - sign * q.y) ** 2 + (c.z - sign * q.z) ** 2
+    )
+    _reject(SynthesisFailure, ~(miss <= tol.tol_recon), miss,
+            "pulses miss the target rotation by")
+    return wrap_angle(_pick(sign < 0, gamma + np.pi, gamma))
+
+
+def synthesize_runs(us, tol=DEFAULT_TOL):
+    """Pulse counts and pulses for a stack ``us`` of fused 2x2 runs, shape ``(m, 2, 2)``.
+
+    Returns ``(counts, pulses)``: ``counts[i]`` is 0, 1 or 2, and ``pulses``
+    is a ``TwoPulse`` of length-m arrays with
+    ``e^{i gamma} C(theta2, phi2) C(theta1, phi1) = us[i]``, where the
+    pulses beyond ``counts[i]`` have theta = phi = 0.  A rotation by less
+    than ``tol.tol_recon`` (modulo 2 pi) is the identity and emits nothing;
+    a rotation whose axis lies on the equator is one pulse of duration
+    alpha; every other rotation is the equal-theta pulse pair.  Every run
+    passes the unitarity and the acceptance check; a miss raises
+    ``NotUnitary`` or ``SynthesisFailure`` whose ``row`` is the first
+    failing run.
+    """
+    q, gamma = quaternion_from_unitary(us, tol)
+    aa = to_axis_angle(q)
+    identity = (aa.alpha <= tol.tol_recon) | (2 * np.pi - aa.alpha <= tol.tol_recon)
+    # One pulse misses q by about sin(alpha/2) |cos beta|, so the axis
+    # must also lie within tol_recon / 2 of the equator to pass the check.
+    one = ~identity & (np.abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol.tol_recon / 2.0))
+    counts = np.select([identity, one], [0, 1], 2)
+    (theta, phi1), (_, phi2) = _equal_pulses(aa)
+    theta1 = np.select([identity, one], [0.0, aa.alpha], theta)
+    phi1 = np.select([identity, one], [0.0, wrap_angle(np.pi / 2.0 - aa.phi_axis)], phi1)
+    theta2 = np.where(counts == 2, theta, 0.0)
+    phi2 = np.where(counts == 2, phi2, 0.0)
+    gamma = _pulse_phase(((theta1, phi1), (theta2, phi2)), q, gamma, tol)
+    return counts, TwoPulse(theta1, phi1, theta2, phi2, gamma)
 
 
 def synthesize_run(u, tol=DEFAULT_TOL):
     """C pulses (0, 1 or 2 ``(theta, phi)`` pairs, first fired first) and phase gamma.
 
-    ``e^{i gamma}`` times the pulses, composed, equals the 2x2 unitary ``u``.
-    A rotation by less than ``tol.tol_recon`` (modulo 2 pi) is the identity
-    and emits nothing; a rotation whose axis lies on the equator is one pulse
-    of duration alpha; every other rotation is the equal-theta pulse pair.
+    ``e^{i gamma}`` times the pulses, composed, equals the 2x2 unitary ``u``:
+    the one-run case of ``synthesize_runs``.
     """
-    q, gamma = quaternion_from_unitary(u, tol)
-    aa = to_axis_angle(q)
-    if aa.alpha <= tol.tol_recon or 2 * np.pi - aa.alpha <= tol.tol_recon:
-        pulses = ()
-    elif abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol.tol_recon / 2.0):
-        # One pulse misses q by about sin(alpha/2) |cos beta|, so the axis
-        # must also lie within tol_recon / 2 of the equator to pass the check.
-        pulses = ((aa.alpha, wrap_angle(np.pi / 2.0 - aa.phi_axis)),)
-    else:
-        pulses = _equal_pulses(aa)
-    return pulses, _pulse_phase(pulses, q, gamma, tol)
+    counts, tp = synthesize_runs(np.asarray(u)[None], tol)
+    pulses = ((tp.theta1[0], tp.phi1[0]), (tp.theta2[0], tp.phi2[0]))
+    return pulses[: counts[0]], tp.gamma[0]
 
 
 def two_pulse_synthesis(u, tol=DEFAULT_TOL):

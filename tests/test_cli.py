@@ -228,6 +228,12 @@ def test_report_csv_row():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["compile", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert "usage: atomqc" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, env, code, message",
     [
@@ -253,6 +259,10 @@ def test_report_csv_row():
          "no method in --methods"),
         (["bench", "--n-min", "1", "--n-max", "1", "--samples", "0"], {}, EXIT_IO,
          "--samples must be positive"),
+        (["compile"], {}, EXIT_IO, "error: the following arguments are required: matrix"),
+        (["compile", "haar:2", "--bogus"], {}, EXIT_IO, "error: unrecognized arguments: --bogus"),
+        (["bogus"], {}, EXIT_IO, "error: argument command: invalid choice"),
+        (["compile", "haar:2", "--verify-tol", "-1e-7"], {}, EXIT_IO, "--verify-tol"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):

@@ -160,15 +160,16 @@ def test_two_pulse_rejects_a_missed_rotation(monkeypatch):
 
 
 def test_one_pulse_path_shares_the_acceptance_check(monkeypatch):
-    # The one-pulse (equatorial) and two-pulse runs pass the same check.
+    # The one-pulse (equatorial) and two-pulse runs pass the same check, in
+    # one call over the batch; a pulse with theta = 0 is no pulse.
     real = quaternion._pulse_phase
     checked = []
 
     def spy(pulses, *args):
-        checked.append(len(pulses))
+        checked.append(sum(np.asarray(theta) != 0 for theta, _ in pulses).tolist())
         return real(pulses, *args)
 
     monkeypatch.setattr(quaternion, "_pulse_phase", spy)
-    assert len(quaternion.synthesize_run(rotation_matrix("X", 0.7))[0]) == 1
-    assert len(quaternion.synthesize_run(H)[0]) == 2
-    assert checked == [1, 2]
+    counts, _ = quaternion.synthesize_runs(np.stack([rotation_matrix("X", 0.7), H]))
+    assert counts.tolist() == [1, 2]
+    assert checked == [[1, 2]]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
-from atomqc.exceptions import UnsupportedGate
+from atomqc import quaternion, retarget
+from atomqc.exceptions import NotUnitary, SynthesisFailure, UnsupportedGate
 from atomqc.linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -190,3 +191,47 @@ def test_pulse_angles_in_range():
     assert after.gates and all(g.kind == "C" for g in after.gates)
     for g in after.gates:
         assert all(0.0 <= p < 2 * np.pi for p in g.params)
+
+
+def test_one_synthesis_call_and_no_hadamard_gates(monkeypatch):
+    # Every run of a circuit goes through one batched synthesis, and the
+    # rewrite's Hadamards enter the runs as matrices, never as Gate objects.
+    calls, kinds = [], []
+    real_synth, real_init = retarget.synthesize_runs, cir.Gate.__post_init__
+
+    def synth(us, tol):
+        calls.append(len(us))
+        return real_synth(us, tol)
+
+    def init(g):
+        kinds.append(g.kind)
+        real_init(g)
+
+    c = qsd_compile(random_unitary(3, seed=3))
+    monkeypatch.setattr(retarget, "synthesize_runs", synth)
+    monkeypatch.setattr(cir.Gate, "__post_init__", init)
+    after = retarget_circuit(c)
+    assert len(calls) == 1 and calls[0] > 1
+    assert "H" not in kinds
+    _check_equivalent(c, after)
+
+
+def test_failing_run_is_named(monkeypatch):
+    # Runs: q0 from gate 0 (X, one pulse), q0 from gate 2 (RZ, two pulses),
+    # q1 from gate 3 (the CNOT's first H) and q1 after its CZ.
+    c = cir.Circuit(2, (cir.x(0), cir.cz(0, 1), cir.rz(0.3, 0), cir.cnot(0, 1)))
+    closed_form = quaternion._closed_form
+
+    def bent(aa):
+        theta, delta, phi_mean = closed_form(aa)
+        return theta + 1e-6, delta, phi_mean
+
+    monkeypatch.setattr(quaternion, "_closed_form", bent)
+    with pytest.raises(SynthesisFailure,
+                       match=r"run on qubit 0 from input gate 2: pulses miss .* by \d\.\d+e-\d+"):
+        retarget_circuit(c)
+    monkeypatch.undo()
+    # X is exactly unitary; H misses by a rounding error, above this tolerance.
+    with pytest.raises(NotUnitary,
+                       match=r"run on qubit 1 from input gate 1: not unitary .* defect \d"):
+        retarget_circuit(cir.Circuit(2, (cir.x(0), cir.h(1))), Tolerances(tol_unitary=1e-300))
