@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as cir
-from .circuit import _X, rotation_matrix
-from .exceptions import InsufficientIdleQubits, NotUnitary
+from .circuit import _X
+from .exceptions import InsufficientIdleQubits
 from .linalg import DEFAULT_TOL, check_unitary, unitary_sqrt, wrap_angle
 
 _ANGLE_EPS = 1e-12
@@ -26,14 +26,6 @@ class ZyAngles:
     beta: float
     gamma: float
     delta: float
-
-    def reconstruct(self):
-        return (
-            np.exp(1j * self.alpha)
-            * rotation_matrix("Z", self.beta)
-            @ rotation_matrix("Y", self.gamma)
-            @ rotation_matrix("Z", self.delta)
-        )
 
 
 def zy_decompose(u):
@@ -65,24 +57,6 @@ def zy_decompose(u):
     return ZyAngles(alpha, wrapped[0], float(gamma), wrapped[1])
 
 
-@dataclass(frozen=True)
-class AbcDecomp:
-    """A B C = I and A X B X C = e^{-i phase} U."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    phase: float
-
-
-def abc_decompose(u):
-    zy = zy_decompose(u)
-    a = rotation_matrix("Z", zy.beta) @ rotation_matrix("Y", zy.gamma / 2)
-    b = rotation_matrix("Y", -zy.gamma / 2) @ rotation_matrix("Z", -(zy.delta + zy.beta) / 2)
-    c = rotation_matrix("Z", (zy.delta - zy.beta) / 2)
-    return AbcDecomp(a=a, b=b, c=c, phase=zy.alpha)
-
-
 def _rot_gates(q, *axis_angle_pairs):
     """Rotation gates in time order plus the phase that keeps them exact.
 
@@ -94,9 +68,9 @@ def _rot_gates(q, *axis_angle_pairs):
     for axis, angle in axis_angle_pairs:
         if abs(angle) <= _ANGLE_EPS:
             continue
-        canon = float(np.asarray(angle) % (2 * np.pi))
-        phase += np.pi * round((angle - canon) / (2 * np.pi))
-        out.append(cir.Gate("R" + axis, (q,), (canon,)))
+        gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
+        phase += np.pi * round((angle - gate.params[0]) / (2 * np.pi))
+        out.append(gate)
     return out, phase
 
 
@@ -165,22 +139,20 @@ def lower_mcx_ladder(controls, target, idle, n_qubits):
     return cir.Circuit(n_qubits, tuple(gates))
 
 
-def _mcx_fragment(controls, target, n_qubits, keep_toffoli):
+def _mcx_fragment(controls, target, n_qubits):
     """C^m X over the allowed endpoint set, picking the cheapest construction."""
-    controls = tuple(controls)
     m = len(controls)
     if m == 1:
         return cir.Circuit(n_qubits, (cir.cnot(controls[0], target),))
-    if m == 2 and keep_toffoli:
+    if m == 2:
         return cir.Circuit(n_qubits, (cir.toffoli(controls[0], controls[1], target),))
     idle = [q for q in range(n_qubits) if q != target and q not in controls]
-    if m >= 3 and len(idle) >= m - 2 and keep_toffoli:
+    if len(idle) >= m - 2:
         return lower_mcx_ladder(controls, target, idle, n_qubits)
-    return _mcu_recursive(controls, target, _X, n_qubits, keep_toffoli)
+    return _mcu_recursive(controls, target, _X, n_qubits)
 
 
-def _mcu_recursive(controls, target, u, n_qubits, keep_toffoli):
-    controls = tuple(controls)
+def _mcu_recursive(controls, target, u, n_qubits):
     m = len(controls)
     if m == 0:
         return lower_1q(target, u, n_qubits)
@@ -193,18 +165,18 @@ def _mcu_recursive(controls, target, u, n_qubits, keep_toffoli):
     phase = 0.0
     for piece in (
         lower_cu(last, target, v, n_qubits),
-        _mcx_fragment(rest, last, n_qubits, keep_toffoli),
+        _mcx_fragment(rest, last, n_qubits),
         lower_cu(last, target, v.conj().T, n_qubits),
-        _mcx_fragment(rest, last, n_qubits, keep_toffoli),
-        _mcu_recursive(rest, target, v, n_qubits, keep_toffoli),
+        _mcx_fragment(rest, last, n_qubits),
+        _mcu_recursive(rest, target, v, n_qubits),
     ):
         gates.extend(piece.gates)
         phase += piece.global_phase
     return cir.Circuit(n_qubits, tuple(gates), phase)
 
 
-def lower_mcu(controls, polarities, target, u, n_qubits, keep_toffoli=True):
-    """Multi-controlled U over {rotations, CNOT, optionally Toffoli}.
+def lower_mcu(controls, polarities, target, u, n_qubits):
+    """Multi-controlled U over {rotations, CNOT, Toffoli}.
 
     Negative-polarity controls are conjugated with X at the fragment
     boundaries so the recursion itself is polarity-free.
@@ -216,11 +188,11 @@ def lower_mcu(controls, polarities, target, u, n_qubits, keep_toffoli=True):
         polarities = (1,) * len(controls)
     flips = [q for q, p in zip(controls, polarities) if p == 0]
     pre = tuple(cir.x(q) for q in flips)
-    core = _mcu_recursive(controls, target, u, n_qubits, keep_toffoli)
+    core = _mcu_recursive(controls, target, u, n_qubits)
     return cir.Circuit(n_qubits, pre + core.gates + pre, core.global_phase)
 
 
-def _lower_diag_phase(g, n_qubits, keep_toffoli):
+def _lower_diag_phase(g, n_qubits):
     gamma = g.params[0]
     qubits = g.qubits
     pattern = g.polarities
@@ -235,30 +207,28 @@ def _lower_diag_phase(g, n_qubits, keep_toffoli):
         block = np.diag([1.0, np.exp(1j * gamma)])
     else:
         block = np.diag([np.exp(1j * gamma), 1.0])
-    return lower_mcu(qubits[:-1], pattern[:-1], target, block, n_qubits, keep_toffoli)
+    return lower_mcu(qubits[:-1], pattern[:-1], target, block, n_qubits)
 
 
-def lower_circuit(c, keep_toffoli=True):
-    """Lower CU/MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
+def lower_circuit(c):
+    """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    The output uses single-qubit gates, CNOT, CZ, CCZ and (when
-    ``keep_toffoli``) two-control MCX units.
+    The output uses single-qubit gates, CNOT, CZ, CCZ and two-control MCX
+    units (Toffolis).
     """
     gates = []
     phase = c.global_phase
     for g in c.gates:
-        if g.kind == "CU":
-            frag = lower_cu(g.qubits[0], g.qubits[1], g.matrix, c.n_qubits)
-        elif g.kind == "MCU":
+        if g.kind == "MCU":
             frag = lower_mcu(
-                g.qubits[:-1], g.polarities, g.qubits[-1], g.matrix, c.n_qubits, keep_toffoli
+                g.qubits[:-1], g.polarities, g.qubits[-1], g.matrix, c.n_qubits
             )
-        elif g.kind == "MCX" and (len(g.qubits) > 3 or not keep_toffoli or 0 in g.polarities):
+        elif g.kind == "MCX" and (len(g.qubits) > 3 or 0 in g.polarities):
             frag = lower_mcu(
-                g.qubits[:-1], g.polarities, g.qubits[-1], _X, c.n_qubits, keep_toffoli
+                g.qubits[:-1], g.polarities, g.qubits[-1], _X, c.n_qubits
             )
         elif g.kind == "DIAG_PHASE":
-            frag = _lower_diag_phase(g, c.n_qubits, keep_toffoli)
+            frag = _lower_diag_phase(g, c.n_qubits)
         else:
             gates.append(g)
             continue

@@ -8,7 +8,7 @@ Conventions, used everywhere in the package:
 * Control polarities (``MCU``/``MCX``/``DIAG_PHASE``) are explicit bits:
   1 triggers on ``|1>``, 0 triggers on ``|0>``.
 
-Gates and circuits are value types: ``append_gate`` returns a new circuit.
+Gates and circuits are immutable value types.
 """
 
 from collections import Counter
@@ -20,7 +20,7 @@ from .exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
 from .linalg import wrap_angle
 
 SINGLE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1"})
-ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "CU", "MCU", "MCX"})
+ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "MCU", "MCX"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | ENTANGLING_KINDS | {"DIAG_PHASE"}
 
 # Kinds whose first angle parameter lives in [0, 2pi); PHASE/DIAG_PHASE use (-pi, pi].
@@ -128,10 +128,6 @@ def ccz(q0, q1, q2):
     return Gate("CCZ", (q0, q1, q2))
 
 
-def cu(control, target, matrix):
-    return Gate("CU", (control, target), matrix=_check_2x2_unitary(matrix))
-
-
 def mcu(controls, target, matrix, polarities=None):
     controls = tuple(controls)
     if polarities is None:
@@ -213,10 +209,6 @@ def gate_local_matrix(g):
         d = np.ones(8, dtype=complex)
         d[7] = -1.0
         return np.diag(d)
-    if g.kind == "CU":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = g.matrix
-        return m
     if g.kind in ("MCU", "MCX"):
         k = len(g.qubits)
         block = _X if g.kind == "MCX" else np.asarray(g.matrix)
@@ -261,29 +253,11 @@ class Circuit:
     def __len__(self):
         return len(self.gates)
 
-    def append(self, gate):
-        return append_gate(self, gate)
-
-    def extend(self, fragment):
-        """Concatenate another circuit of the same width, accumulating phase."""
-        if fragment.n_qubits != self.n_qubits:
-            raise QubitOutOfRange("fragment width differs from circuit width")
-        return Circuit(
-            self.n_qubits,
-            self.gates + fragment.gates,
-            self.global_phase + fragment.global_phase,
-        )
-
 
 def _validate(gate, n_qubits):
     for q in gate.qubits:
         if not 0 <= q < n_qubits:
             raise QubitOutOfRange(f"qubit {q} outside width {n_qubits}")
-
-
-def append_gate(circuit, gate):
-    _validate(gate, circuit.n_qubits)
-    return replace(circuit, gates=circuit.gates + (gate,))
 
 
 def gate_counts(circuit):

@@ -14,7 +14,6 @@ from . import circuit as cir
 from .barenco import zy_decompose
 from .exceptions import (
     MatrixFormatError,
-    NotUnitary,
     QasmSyntaxError,
     SequenceSyntaxError,
     UndeclaredRegister,
@@ -141,9 +140,11 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.peek() is not None and self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            if op.text == "/" and rhs == 0:
+                raise QasmSyntaxError("division by zero in angle expression", op.line, op.col)
+            value = value * rhs if op.text == "*" else value / rhs
         return value
 
     def factor(self):
@@ -159,6 +160,14 @@ class _Parser:
         if tok.text == "pi":
             return math.pi
         raise QasmSyntaxError(f"bad term {tok.text!r} in angle expression", tok.line, tok.col)
+
+    def angle(self):
+        """A gate parameter: an expression whose value must be finite."""
+        tok = self.peek()
+        value = self.expr()
+        if not math.isfinite(value):
+            raise QasmSyntaxError(f"angle must be finite, got {value}", tok.line, tok.col)
+        return value
 
 
 def _int_token(tok, what):
@@ -244,10 +253,10 @@ def parse_qasm(text):
         if p.peek() is not None and p.peek().text == "(":
             p.next()
             if p.peek() is not None and p.peek().text != ")":
-                args.append(p.expr())
+                args.append(p.angle())
                 while p.peek() is not None and p.peek().text == ",":
                     p.next()
-                    args.append(p.expr())
+                    args.append(p.angle())
             p.next(expect=")")
         if gname in _PARAM_COUNT and len(args) != _PARAM_COUNT[gname]:
             raise QasmSyntaxError(
@@ -388,6 +397,8 @@ def parse_sequence(text):
             saw_header = True
             continue
         if mnemonic == "QUBITS":
+            if n_qubits is not None:
+                raise SequenceSyntaxError("QUBITS appears more than once", lineno)
             (n_qubits,), _ = _seq_fields(line, lineno, "QUBITS", 1, 0)
             if n_qubits < 1:
                 raise SequenceSyntaxError("QUBITS must be positive", lineno)
@@ -447,7 +458,7 @@ def write_matrix(m):
     return "\n".join(lines) + "\n"
 
 
-def read_matrix(text, tol=DEFAULT_TOL, require_unitary=True):
+def read_matrix(text, tol=DEFAULT_TOL):
     """Parse the matrix text format, validating shape and unitarity."""
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -470,6 +481,5 @@ def read_matrix(text, tol=DEFAULT_TOL, require_unitary=True):
             if em is None:
                 raise MatrixFormatError(f"bad entry {token!r} at row {i}, column {j}")
             m[i, j] = complex(float(em.group("re")), float(em.group("im")))
-    if require_unitary:
-        check_unitary(m, tol.tol_unitary, what="input matrix")
+    check_unitary(m, tol.tol_unitary, what="input matrix")
     return m

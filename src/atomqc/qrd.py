@@ -32,12 +32,11 @@ def _qubit_count(dim):
     return n
 
 
-def _mix_rows(m, r0, r1, block):
-    """In-place left-multiplication on the row pairs (r0[k], r1[k])."""
+def _mixed_rows(m, r0, r1, block):
+    """Rows ``r0`` and ``r1`` of ``m`` after ``block`` mixes each pair (r0[k], r1[k])."""
     a = m[r0, :]
     b = m[r1, :]
-    m[r0, :] = block[0, 0] * a + block[0, 1] * b
-    m[r1, :] = block[1, 0] * a + block[1, 1] * b
+    return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
 
 
 def _givens_block(u_a, u_b, tol):
@@ -59,7 +58,8 @@ def _op_to_mcu(a, b, block, n_qubits):
     """Express the rotation ``block`` between Gray-adjacent basis states as an MCU.
 
     ``block`` is 2x2 with rows/columns ordered (a, b), where ``a`` is the
-    pivot (the Gray predecessor of ``b``).
+    pivot (the Gray predecessor of ``b``).  Returns the MCU's
+    ``(controls, polarities, target, block)``; every other qubit is a control.
     """
     diff = a ^ b
     bit = diff.bit_length() - 1  # bit position counted from the LSB
@@ -68,19 +68,11 @@ def _op_to_mcu(a, b, block, n_qubits):
     pol = tuple((a >> (n_qubits - 1 - q)) & 1 for q in controls)
     if (a >> bit) & 1 == 1:
         block = block[::-1, ::-1]
-    return cir.mcu(controls, target, block, pol)
+    return controls, pol, target, block
 
 
-def _gate_row_pairs(gate, n_qubits):
-    """(row0, row1) basis pairs an MCU/U1 gate acts on, as index arrays."""
-    if gate.kind == "MCU":
-        controls = gate.qubits[:-1]
-        target = gate.qubits[-1]
-        pol = gate.polarities
-    else:  # plain single-qubit gate
-        controls = ()
-        target = gate.qubits[0]
-        pol = ()
+def _row_pairs(controls, pol, target, n_qubits):
+    """(row0, row1) basis pairs an MCU acts on, as index arrays."""
     free = [q for q in range(n_qubits) if q != target and q not in controls]
     tbit = 1 << (n_qubits - 1 - target)
     base = 0
@@ -93,35 +85,24 @@ def _gate_row_pairs(gate, n_qubits):
     return r0, r0 | tbit
 
 
-def eliminate_controls(op, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL):
+def eliminate_controls(
+    controls, polarities, target, block, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL
+):
     """Drop controls from an MCU while provably preserving cleared entries.
 
     Controls are dropped greedily, most significant first; each candidate is
     verified semantically: the reduced gate, applied to the current matrix,
     must keep every coordinate flagged in ``cleared_mask`` at zero.  The
     reduced gate always retains the original 2x2 action on the active pair.
-    Worst case the original gate is returned unchanged.
+    ``controls`` and ``polarities`` are tuples; returns the kept ones, worst
+    case all of them.
     """
-    if op.kind != "MCU":
-        return op
-    block = np.asarray(op.matrix)
     threshold = tol.tol_zero * max(matrix.shape[0], 4)
-    target = op.qubits[-1]
-    controls = list(op.qubits[:-1])
-    pol = list(op.polarities)
-    for q in sorted(op.qubits[:-1]):
+    for q in sorted(controls):
         idx = controls.index(q)
-        cand = cir.mcu(
-            tuple(controls[:idx] + controls[idx + 1 :]),
-            target,
-            block,
-            tuple(pol[:idx] + pol[idx + 1 :]),
-        )
-        r0, r1 = _gate_row_pairs(cand, n_qubits)
-        a = matrix[r0, :]
-        b = matrix[r1, :]
-        new0 = block[0, 0] * a + block[0, 1] * b
-        new1 = block[1, 0] * a + block[1, 1] * b
+        kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
+        r0, r1 = _row_pairs(*kept, target, n_qubits)
+        new0, new1 = _mixed_rows(matrix, r0, r1, block)
         bad = 0.0
         if cleared_mask[r0].any():
             bad = max(bad, np.max(np.abs(new0[cleared_mask[r0]])))
@@ -129,15 +110,8 @@ def eliminate_controls(op, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL):
             bad = max(bad, np.max(np.abs(new1[cleared_mask[r1]])))
         if bad > threshold:
             continue
-        controls.pop(idx)
-        pol.pop(idx)
-        op = cand
-    return op
-
-
-def _apply_gate_rows(m, gate, n_qubits):
-    r0, r1 = _gate_row_pairs(gate, n_qubits)
-    _mix_rows(m, r0, r1, np.asarray(gate.matrix))
+        controls, polarities = kept
+    return controls, polarities
 
 
 def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
@@ -165,11 +139,14 @@ def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubit
             a, b = gcb_code(s - 1), gcb_code(s)
             block = _givens_block(complex(m[a, col]), complex(m[b, col]), tol)
             if block is not None:
-                gate = _op_to_mcu(a, b, block, n)
-                if drop_controls and gate.kind == "MCU":
-                    gate = eliminate_controls(gate, cleared, m, n, tol)
-                _apply_gate_rows(m, gate, n)
-                emitted.append(gate)
+                controls, pol, target, block = _op_to_mcu(a, b, block, n)
+                if drop_controls:
+                    controls, pol = eliminate_controls(
+                        controls, pol, target, block, cleared, m, n, tol
+                    )
+                r0, r1 = _row_pairs(controls, pol, target, n)
+                m[r0, :], m[r1, :] = _mixed_rows(m, r0, r1, block)
+                emitted.append(cir.mcu(controls, target, block, pol))
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).
         cleared[:, col] = True

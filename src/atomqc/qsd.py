@@ -18,7 +18,6 @@ from .qrd import _qubit_count, gcb_code
 
 __all__ = [
     "multiplexer_angles",
-    "inverse_multiplexer_angles",
     "synth_multiplexed_rotation",
     "qsd_compile",
 ]
@@ -39,7 +38,7 @@ def multiplexer_angles(thetas):
 
     Walsh-Hadamard transform in Gray ordering: ``alpha = M^T theta / 2^k``
     with ``M[b][g] = (-1)^popcount(b AND gray(g))``.  Self-inverse up to the
-    scaling (see ``inverse_multiplexer_angles``).
+    scaling: ``M @ alpha`` gives back ``theta``.
     """
     thetas = np.asarray(thetas, dtype=float)
     k = int(np.log2(len(thetas)))
@@ -49,17 +48,6 @@ def multiplexer_angles(thetas):
         return thetas.copy()
     m = _gray_walsh_matrix(k)
     return (m.T @ thetas) / 2**k
-
-
-def inverse_multiplexer_angles(alphas):
-    """Recover per-pattern rotation angles from ladder angles."""
-    alphas = np.asarray(alphas, dtype=float)
-    k = int(np.log2(len(alphas)))
-    if 2**k != len(alphas):
-        raise LengthNotPowerOfTwo(f"got {len(alphas)} angles")
-    if k == 0:
-        return alphas.copy()
-    return _gray_walsh_matrix(k) @ alphas
 
 
 def synth_multiplexed_rotation(axis, controls, target, thetas):

@@ -301,8 +301,7 @@ def two_pulse_synthesis(u, tol=DEFAULT_TOL):
     """
     q, gamma = quaternion_from_unitary(u, tol)
     aa = to_axis_angle(q)
-    if aa.alpha <= _AXIS_EPS or 2 * np.pi - aa.alpha <= _AXIS_EPS:
-        return TwoPulse(0.0, 0.0, 0.0, 0.0, wrap_angle(gamma + np.pi if q.w < 0 else gamma))
-    pulses = _equal_pulses(aa)
+    identity = aa.alpha <= _AXIS_EPS or 2 * np.pi - aa.alpha <= _AXIS_EPS
+    pulses = ((0.0, 0.0), (0.0, 0.0)) if identity else _equal_pulses(aa)
     (theta, phi1), (_, phi2) = pulses
     return TwoPulse(theta, phi1, theta, phi2, _pulse_phase(pulses, q, gamma, tol))

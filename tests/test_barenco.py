@@ -5,7 +5,6 @@ import pytest
 
 from atomqc import circuit as cir
 from atomqc.barenco import (
-    abc_decompose,
     lower_1q,
     lower_circuit,
     lower_cu,
@@ -25,23 +24,25 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def test_zy_decompose_reconstructs_exactly():
     for _ in range(200):
         u = haar_unitary(2, RNG)
-        zy = zy_decompose(u)
-        assert np.max(np.abs(zy.reconstruct() - u)) < 1e-12
-        assert 0 <= zy.gamma <= np.pi + 1e-12
+        assert np.max(np.abs(circuit_unitary(lower_1q(0, u, 1)) - u)) < 1e-12
+        assert 0 <= zy_decompose(u).gamma <= np.pi + 1e-12
 
 
 def test_zy_decompose_degenerate_branches():
     for u in (np.eye(2, dtype=complex), X, 1j * X, np.diag([1.0, 1j])):
-        zy = zy_decompose(u)
-        assert np.max(np.abs(zy.reconstruct() - u)) < 1e-12
+        assert np.max(np.abs(circuit_unitary(lower_1q(0, u, 1)) - u)) < 1e-12
 
 
 def test_abc_identity_and_conjugation():
+    # lower_cu is the ABC construction: A B C = I acts on control |0>, and
+    # e^{i alpha} A X B X C = u on control |1>, with exactly two CNOTs.
     u = haar_unitary(2, RNG)
-    abc = abc_decompose(u)
-    assert np.max(np.abs(abc.a @ abc.b @ abc.c - np.eye(2))) < 1e-12
-    reconstructed = np.exp(1j * abc.phase) * (abc.a @ X @ abc.b @ X @ abc.c)
-    assert np.max(np.abs(reconstructed - u)) < 1e-12
+    frag = lower_cu(0, 1, u, 2)
+    assert [g.kind for g in frag.gates].count("CNOT") == 2
+    m = circuit_unitary(frag)
+    assert np.max(np.abs(m[:2, :2] - np.eye(2))) < 1e-12
+    assert np.max(np.abs(m[2:, 2:] - u)) < 1e-12
+    assert np.max(np.abs(m[:2, 2:])) < 1e-12 and np.max(np.abs(m[2:, :2])) < 1e-12
 
 
 def test_lower_1q_exact():
@@ -56,7 +57,7 @@ def test_lower_cu_exact():
     for _ in range(50):
         u = haar_unitary(2, RNG)
         frag = lower_cu(0, 1, u, 2)
-        target = gate_matrix(cir.cu(0, 1, u), 2)
+        target = gate_matrix(cir.mcu((0,), 1, u), 2)
         assert np.max(np.abs(circuit_unitary(frag) - target)) < 1e-12
         assert all(g.kind in ("RY", "RZ", "CNOT") for g in frag.gates)
 
@@ -108,11 +109,12 @@ def test_lower_mcu_negative_polarity():
     assert phase_distance(circuit_unitary(frag), expect) < 1e-10
 
 
-def test_lower_mcu_without_toffoli():
+def test_lower_mcu_recursion_fallback():
+    # Five controls on six qubits: the inner C^4 X has one idle qubit, too
+    # few for the ladder's two borrows, so it recurses through square roots.
     u = haar_unitary(2, RNG)
-    frag = lower_mcu((0, 1, 2), (1, 1, 1), 3, u, 4, keep_toffoli=False)
-    assert all(g.kind in ("RX", "RY", "RZ", "X", "CNOT") for g in frag.gates)
-    expect = gate_matrix(cir.mcu((0, 1, 2), 3, u), 4)
+    frag = lower_mcu((0, 1, 2, 3, 4), (1,) * 5, 5, u, 6)
+    expect = gate_matrix(cir.mcu((0, 1, 2, 3, 4), 5, u), 6)
     assert phase_distance(circuit_unitary(frag), expect) < 1e-8
 
 
@@ -121,7 +123,7 @@ def test_lower_circuit_dispatch():
     c = cir.Circuit(
         3,
         (
-            cir.cu(0, 1, u),
+            cir.mcu((0,), 1, u),
             cir.mcu((0, 1), 2, u, (1, 0)),
             cir.diag_phase((0, 1, 2), (1, 0, 1), 0.8),
             cir.h(0),

@@ -48,16 +48,6 @@ def test_circuit_validates_width():
         cir.Circuit(0)
 
 
-def test_append_and_extend_accumulate():
-    c = cir.Circuit(2).append(cir.h(0))
-    frag = cir.Circuit(2, (cir.cnot(0, 1),), global_phase=0.5)
-    c = c.extend(frag)
-    assert len(c) == 2
-    assert c.global_phase == pytest.approx(0.5)
-    with pytest.raises(QubitOutOfRange):
-        c.extend(cir.Circuit(3))
-
-
 def test_dagger_involution():
     for g in (cir.rx(0.4, 0), cir.phase(1.2, 0), cir.cnot(0, 1),
               cir.u1q(np.array([[0, 1j], [1j, 0]], dtype=complex), 0)):

@@ -263,6 +263,16 @@ def test_help_exits_zero(capsys, argv):
         (["compile", "haar:2", "--bogus"], {}, EXIT_IO, "error: unrecognized arguments: --bogus"),
         (["bogus"], {}, EXIT_IO, "error: argument command: invalid choice"),
         (["compile", "haar:2", "--verify-tol", "-1e-7"], {}, EXIT_IO, "--verify-tol"),
+        (["retarget", "{corpus}/err_div_zero.qasm"], {}, EXIT_PARSE,
+         "division by zero in angle expression (line 3, col 5)"),
+        (["verify", "{corpus}/err_div_zero.qasm", "{tmp}/eye4.mat"], {}, EXIT_PARSE,
+         "division by zero in angle expression (line 3, col 5)"),
+        (["retarget", "{corpus}/err_inf_angle.qasm"], {}, EXIT_PARSE,
+         "angle must be finite, got inf (line 3, col 4)"),
+        (["verify", "{corpus}/err_inf_angle.qasm", "{tmp}/eye4.mat"], {}, EXIT_PARSE,
+         "angle must be finite, got inf (line 3, col 4)"),
+        (["verify", "{tmp}/qubits_twice.seq", "{tmp}/eye4.mat"], {}, EXIT_PARSE,
+         "QUBITS appears more than once (line 4)"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -270,6 +280,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     (tmp_path / "eye3.mat").write_text(write_matrix(np.eye(3)))
     (tmp_path / "eye4.mat").write_text(write_matrix(np.eye(4)))
     (tmp_path / "nan.seq").write_text("SEQUENCE 1\nQUBITS 2\nC 0 nan inf\n")
+    (tmp_path / "qubits_twice.seq").write_text("SEQUENCE 1\nQUBITS 3\nCZ 0 2\nQUBITS 2\n")
     monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)

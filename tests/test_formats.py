@@ -141,6 +141,8 @@ def test_qft2_matches_direct_construction():
         ("err_index.qasm", QasmSyntaxError),
         ("err_version.qasm", QasmSyntaxError),
         ("err_unknown_gate.qasm", UnsupportedGate),
+        ("err_div_zero.qasm", QasmSyntaxError),
+        ("err_inf_angle.qasm", QasmSyntaxError),
     ],
 )
 def test_error_corpus(name, exc):
@@ -274,6 +276,7 @@ def test_sequence_emit_rejects_non_native():
         "SEQUENCE 1\nQUBITS 2\nNOP 0\n",
         "SEQUENCE 1\nQUBITS 2\nC 0 nan inf\n",
         "SEQUENCE 1\nQUBITS 2\nPHASE nan\n",
+        "SEQUENCE 1\nQUBITS 3\nCZ 0 2\nQUBITS 2\n",
     ],
 )
 def test_sequence_errors(text):
@@ -328,6 +331,3 @@ def test_matrix_unitarity_check():
     text = write_matrix(np.eye(2) * 1.5)
     with pytest.raises(NotUnitary):
         read_matrix(text)
-    # The check can be waived for raw matrix IO.
-    m = read_matrix(text, require_unitary=False)
-    assert np.array_equal(m, np.eye(2) * 1.5)

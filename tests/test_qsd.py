@@ -9,7 +9,7 @@ from atomqc.circuit import rotation_matrix
 from atomqc.exceptions import LengthNotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.qsd import (
-    inverse_multiplexer_angles,
+    _gray_walsh_matrix,
     multiplexer_angles,
     qsd_compile,
     synth_multiplexed_rotation,
@@ -26,7 +26,7 @@ def test_multiplexer_angles_single_control():
 
 def test_multiplexer_angles_inverse():
     thetas = RNG.uniform(-np.pi, np.pi, 8)
-    assert np.allclose(inverse_multiplexer_angles(multiplexer_angles(thetas)), thetas)
+    assert np.allclose(_gray_walsh_matrix(3) @ multiplexer_angles(thetas), thetas)
 
 
 def test_multiplexer_angles_bad_length():

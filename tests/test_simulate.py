@@ -6,7 +6,7 @@ import pytest
 from atomqc import circuit as cir
 from atomqc.circuit import c_matrix, rotation_matrix
 from atomqc.exceptions import QubitOutOfRange, SizeTooLarge
-from atomqc.linalg import haar_unitary, phase_distance
+from atomqc.linalg import haar_unitary
 from atomqc.simulate import circuit_unitary, cnot_lower_bound, gate_matrix, verify
 
 RNG = np.random.default_rng(99)
@@ -95,7 +95,7 @@ def test_every_gate_matrix_unitary():
         cir.rx(0.3, 0), cir.ry(1.0, 1), cir.rz(2.2, 0), cir.h(0), cir.x(1),
         cir.c_gate(0.5, 1.1, 0), cir.phase(0.4, 1),
         cir.u1q(haar_unitary(2, RNG), 0),
-        cir.cnot(0, 1), cir.cz(0, 1), cir.cu(0, 1, haar_unitary(2, RNG)),
+        cir.cnot(0, 1), cir.cz(0, 1), cir.mcu((0,), 1, haar_unitary(2, RNG)),
         cir.toffoli(0, 1, 2), cir.ccz(0, 1, 2),
         cir.mcu((0, 1), 2, haar_unitary(2, RNG), (1, 0)),
         cir.diag_phase((0, 1, 2), (1, 1, 0), 1.3),
