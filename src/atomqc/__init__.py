@@ -22,15 +22,11 @@ from .formats import (
     render_qasm,
     write_matrix,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    phase_distance,
-    random_unitary,
-)
+from .linalg import phase_distance, random_unitary
 from .qrd import gcb_code, qrd_compile
 from .qsd import qsd_compile
 from .quaternion import (
+    TOL_RECON,
     Quaternion,
     TwoPulse,
     quaternion_from_unitary,
@@ -53,13 +49,12 @@ __all__ = [
     "AtomqcError",
     "Circuit",
     "CompileReport",
-    "DEFAULT_TOL",
     "Gate",
     "GateCounts",
     "NotUnitary",
     "Quaternion",
     "SynthesisFailure",
-    "Tolerances",
+    "TOL_RECON",
     "TwoPulse",
     "UnsupportedGate",
     "c_matrix",

@@ -1,60 +1,19 @@
 """Exact lowerings of controlled and multi-controlled gates.
 
-Provides the ZY decomposition of single-qubit gates, the ABC construction
+Provides the single-qubit lowering through ZY angles, the ABC construction
 for controlled-U, the recursive lowering of multi-controlled gates via
 unitary square roots, and the Toffoli ladder for multi-controlled NOT with
 borrowed qubits.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import circuit as cir
-from .circuit import _X
 from .exceptions import InsufficientIdleQubits
-from .linalg import DEFAULT_TOL, check_unitary, unitary_sqrt, wrap_angle
+from .linalg import TOL_ZERO, check_unitary, unitary_sqrt
+from .quaternion import zy_decompose
 
-_ANGLE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ZyAngles:
-    """U = e^{i alpha} RZ(beta) RY(gamma) RZ(delta), gamma in [0, pi]."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
-def zy_decompose(u):
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, what="2x2 input")
-    alpha = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
-    su = u * np.exp(-1j * alpha)
-    gamma = 2.0 * np.arctan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) < 1e-12:
-        # gamma = pi: only beta - delta is fixed.
-        a = np.angle(su[1, 0])
-        beta, delta = a, -a
-    elif abs(su[1, 0]) < 1e-12:
-        # gamma = 0: only beta + delta is fixed.
-        beta, delta = -2.0 * np.angle(su[0, 0]), 0.0
-    else:
-        beta = np.angle(su[1, 0]) - np.angle(su[0, 0])
-        delta = -np.angle(su[1, 0]) - np.angle(su[0, 0])
-    # Wrapping beta or delta by 2pi flips the sign of its RZ; compensate an
-    # odd number of flips through alpha so reconstruction stays exact.
-    flips = 0
-    wrapped = []
-    for raw in (beta, delta):
-        w = wrap_angle(raw)
-        flips += round((raw - w) / (2 * np.pi))
-        wrapped.append(w)
-    if flips % 2:
-        alpha = wrap_angle(alpha + np.pi)
-    return ZyAngles(alpha, wrapped[0], float(gamma), wrapped[1])
+_X = cir.gate_local_matrix(cir.x(0))
 
 
 def _rot_gates(q, *axis_angle_pairs):
@@ -66,7 +25,7 @@ def _rot_gates(q, *axis_angle_pairs):
     out = []
     phase = 0.0
     for axis, angle in axis_angle_pairs:
-        if abs(angle) <= _ANGLE_EPS:
+        if abs(angle) <= TOL_ZERO:
             continue
         gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
         phase += np.pi * round((angle - gate.params[0]) / (2 * np.pi))
@@ -85,7 +44,7 @@ def lower_cu(control, target, u, n_qubits):
     """Controlled-U over {rotations, CNOT} via the ABC construction."""
     u = np.asarray(u, dtype=complex)
     check_unitary(u, what="controlled 2x2 block")
-    if np.max(np.abs(u - np.eye(2))) < DEFAULT_TOL.tol_zero:
+    if np.max(np.abs(u - np.eye(2))) < TOL_ZERO:
         return cir.Circuit(n_qubits)
     zy = zy_decompose(u)
     gates = []
@@ -104,7 +63,7 @@ def lower_cu(control, target, u, n_qubits):
     emit(target, ("Z", -(zy.delta + zy.beta) / 2), ("Y", -zy.gamma / 2))
     gates.append(cir.cnot(control, target))
     emit(target, ("Y", zy.gamma / 2), ("Z", zy.beta))
-    if abs(zy.alpha) > _ANGLE_EPS:
+    if abs(zy.alpha) > TOL_ZERO:
         # diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
         emit(control, ("Z", zy.alpha))
         phase += zy.alpha / 2
@@ -184,8 +143,6 @@ def lower_mcu(controls, polarities, target, u, n_qubits):
     u = np.asarray(u, dtype=complex)
     check_unitary(u, what="multi-controlled 2x2 block")
     controls = tuple(controls)
-    if polarities is None:
-        polarities = (1,) * len(controls)
     flips = [q for q, p in zip(controls, polarities) if p == 0]
     pre = tuple(cir.x(q) for q in flips)
     core = _mcu_recursive(controls, target, u, n_qubits)
@@ -213,8 +170,8 @@ def _lower_diag_phase(g, n_qubits):
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    The output uses single-qubit gates, CNOT, CZ, CCZ and two-control MCX
-    units (Toffolis).
+    The output uses single-qubit gates, CNOT, CZ, CCZ and Toffolis
+    (``Gate.is_toffoli``); a one-control MCX becomes one CNOT.
     """
     gates = []
     phase = c.global_phase
@@ -223,7 +180,10 @@ def lower_circuit(c):
             frag = lower_mcu(
                 g.qubits[:-1], g.polarities, g.qubits[-1], g.matrix, c.n_qubits
             )
-        elif g.kind == "MCX" and (len(g.qubits) > 3 or 0 in g.polarities):
+        elif g.kind == "MCX" and len(g.qubits) == 2:
+            flip = (cir.x(g.qubits[0]),) if g.polarities[0] == 0 else ()
+            frag = cir.Circuit(c.n_qubits, flip + (cir.cnot(*g.qubits),) + flip)
+        elif g.kind == "MCX" and not g.is_toffoli:
             frag = lower_mcu(
                 g.qubits[:-1], g.polarities, g.qubits[-1], _X, c.n_qubits
             )

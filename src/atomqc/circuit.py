@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
-from .linalg import wrap_angle
+from .linalg import is_unitary, wrap_angle
 
 SINGLE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1"})
 ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "MCU", "MCX"})
@@ -65,6 +65,11 @@ class Gate:
     def is_single_qubit(self):
         return len(self.qubits) == 1
 
+    @property
+    def is_toffoli(self):
+        """Two controls, both on |1>: the one MCX that retarget and QASM take as is."""
+        return self.kind == "MCX" and len(self.qubits) == 3 and 0 not in self.polarities
+
     def dagger(self):
         if self.kind in ("H", "X", "CNOT", "CZ", "CCZ", "MCX"):
             return self
@@ -77,7 +82,7 @@ class Gate:
 
 def _check_2x2_unitary(m):
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2) or np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-10:
+    if m.shape != (2, 2) or not is_unitary(m):
         raise NotUnitary("embedded gate matrix must be a 2x2 unitary")
     return m
 

@@ -22,11 +22,12 @@ from .exceptions import (
     UnsupportedGate,
 )
 from .formats import emit_sequence, parse_qasm, parse_sequence, read_matrix, render_qasm
-from .linalg import DEFAULT_TOL, MAX_QUBITS, Tolerances, random_unitary
+from .linalg import MAX_QUBITS, random_unitary
 from .qrd import qrd_compile
 from .qsd import qsd_compile
+from .quaternion import TOL_RECON
 from .retarget import retarget_circuit
-from .simulate import circuit_unitary, verify
+from .simulate import VERIFY_TOL, circuit_unitary, verify
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -104,9 +105,9 @@ def _write_text(path, text):
         raise SystemExit(EXIT_IO)
 
 
-def _load_matrix(path, tol):
+def _load_matrix(path):
     try:
-        return read_matrix(_read_text(path), tol)
+        return read_matrix(_read_text(path))
     except NotUnitary as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_MATRIX)
@@ -128,7 +129,7 @@ def _haar_matrix(spec, seed, max_qubits):
 def _compile_one(u, method, retarget, tol, max_qubits):
     compiler = qrd_compile if method == "qrd" else qsd_compile
     start = time.perf_counter()
-    c = compiler(u, tol=tol, max_qubits=max_qubits)
+    c = compiler(u, max_qubits=max_qubits)
     if retarget:
         c = retarget_circuit(c, tol)
     wall = time.perf_counter() - start
@@ -136,15 +137,13 @@ def _compile_one(u, method, retarget, tol, max_qubits):
 
 
 def cmd_compile(args):
-    tol = DEFAULT_TOL
-    if args.tol is not None:
-        tol = Tolerances(tol_recon=_positive("--tol", args.tol))
+    tol = _positive("--tol", args.tol)
     verify_tol = _positive("--verify-tol", args.verify_tol)
     max_qubits = _max_qubits()
     if args.matrix.startswith("haar:"):
         u = _haar_matrix(args.matrix, args.seed, max_qubits)
     else:
-        u = _load_matrix(args.matrix, tol)
+        u = _load_matrix(args.matrix)
     try:
         c, wall = _compile_one(u, args.method, args.retarget, tol, max_qubits)
     except (NotUnitary, NotPowerOfTwo) as exc:
@@ -208,7 +207,7 @@ def cmd_verify(args):
     if args.matrix.startswith("haar:"):
         print(f"error: verify needs a matrix file, got {args.matrix!r}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    u = _load_matrix(args.matrix, DEFAULT_TOL)
+    u = _load_matrix(args.matrix)
     try:
         report = verify(c, u, tol=args.tol)
     except DimMismatch as exc:
@@ -242,7 +241,7 @@ def cmd_bench(args):
         for n in range(args.n_min, args.n_max + 1):
             for seed in range(args.samples):
                 u = random_unitary(n, seed, cap)
-                c, wall = _compile_one(u, method, retarget, DEFAULT_TOL, cap)
+                c, wall = _compile_one(u, method, retarget, TOL_RECON, cap)
                 row = csv_row(verify(c, u), method_tag, seed, retarget, wall)
                 rows.append((method_tag, n, seed, row))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -276,21 +275,21 @@ def build_parser():
                    help="emit a SEQUENCE file over {C, CZ, CCZ} instead of QASM")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=TOL_RECON,
                    help="reconstruction tolerance override")
-    p.add_argument("--verify-tol", type=float, default=1e-7)
+    p.add_argument("--verify-tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("retarget", help="retarget an OpenQASM file to SEQUENCE")
     p.add_argument("qasm")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=cmd_retarget)
 
     p = sub.add_parser("verify", help="check a circuit file against a matrix file")
     p.add_argument("circuit", help="QASM or SEQUENCE file (sniffed by header)")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="count/time sweep over Haar-random unitaries")

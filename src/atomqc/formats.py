@@ -11,7 +11,6 @@ import re
 import numpy as np
 
 from . import circuit as cir
-from .barenco import zy_decompose
 from .exceptions import (
     MatrixFormatError,
     QasmSyntaxError,
@@ -19,7 +18,8 @@ from .exceptions import (
     UndeclaredRegister,
     UnsupportedGate,
 )
-from .linalg import DEFAULT_TOL, check_unitary
+from .linalg import check_unitary
+from .quaternion import zy_decompose
 
 __all__ = [
     "parse_qasm",
@@ -128,23 +128,26 @@ class _Parser:
         return tok
 
     # Expression grammar: term {(+|-) term}; term: factor {(*|/) factor};
-    # factor: number | pi | ( expr ) | - factor.
+    # factor: number | pi | ( expr ) | - factor.  Every literal and partial
+    # result must be finite (``_finite``, at the start of its subexpression).
     def expr(self):
+        start = self.peek()
         value = self.term()
         while self.peek() is not None and self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _finite(value + rhs if op == "+" else value - rhs, start)
         return value
 
     def term(self):
+        start = self.peek()
         value = self.factor()
         while self.peek() is not None and self.peek().text in ("*", "/"):
             op = self.next()
             rhs = self.factor()
             if op.text == "/" and rhs == 0:
                 raise QasmSyntaxError("division by zero in angle expression", op.line, op.col)
-            value = value * rhs if op.text == "*" else value / rhs
+            value = _finite(value * rhs if op.text == "*" else value / rhs, start)
         return value
 
     def factor(self):
@@ -156,18 +159,17 @@ class _Parser:
             self.next(expect=")")
             return value
         if tok.kind == "number":
-            return float(tok.text)
+            return _finite(float(tok.text), tok)
         if tok.text == "pi":
             return math.pi
         raise QasmSyntaxError(f"bad term {tok.text!r} in angle expression", tok.line, tok.col)
 
-    def angle(self):
-        """A gate parameter: an expression whose value must be finite."""
-        tok = self.peek()
-        value = self.expr()
-        if not math.isfinite(value):
-            raise QasmSyntaxError(f"angle must be finite, got {value}", tok.line, tok.col)
-        return value
+
+def _finite(value, tok):
+    """``value``, or a ``QasmSyntaxError`` at ``tok`` if it is inf or nan."""
+    if not math.isfinite(value):
+        raise QasmSyntaxError(f"angle must be finite, got {value}", tok.line, tok.col)
+    return value
 
 
 def _int_token(tok, what):
@@ -253,10 +255,10 @@ def parse_qasm(text):
         if p.peek() is not None and p.peek().text == "(":
             p.next()
             if p.peek() is not None and p.peek().text != ")":
-                args.append(p.angle())
+                args.append(p.expr())
                 while p.peek() is not None and p.peek().text == ",":
                     p.next()
-                    args.append(p.angle())
+                    args.append(p.expr())
             p.next(expect=")")
         if gname in _PARAM_COUNT and len(args) != _PARAM_COUNT[gname]:
             raise QasmSyntaxError(
@@ -327,7 +329,7 @@ def render_qasm(c):
             lines.append(f"cx q[{q[0]}],q[{q[1]}];")
         elif g.kind == "CZ":
             lines.append(f"cz q[{q[0]}],q[{q[1]}];")
-        elif g.kind == "MCX" and len(q) == 3 and 0 not in g.polarities:
+        elif g.is_toffoli:
             lines.append(f"ccx q[{q[0]}],q[{q[1]}],q[{q[2]}];")
         elif g.kind == "CCZ":
             lines.append(f"ccz q[{q[0]}],q[{q[1]}],q[{q[2]}];")
@@ -458,7 +460,7 @@ def write_matrix(m):
     return "\n".join(lines) + "\n"
 
 
-def read_matrix(text, tol=DEFAULT_TOL):
+def read_matrix(text):
     """Parse the matrix text format, validating shape and unitarity."""
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -481,5 +483,5 @@ def read_matrix(text, tol=DEFAULT_TOL):
             if em is None:
                 raise MatrixFormatError(f"bad entry {token!r} at row {i}, column {j}")
             m[i, j] = complex(float(em.group("re")), float(em.group("im")))
-    check_unitary(m, tol.tol_unitary, what="input matrix")
+    check_unitary(m, what="input matrix")
     return m

@@ -13,14 +13,15 @@ import scipy.linalg
 from .exceptions import (
     DimMismatch,
     EigenFailure,
+    NotPowerOfTwo,
     NotUnitary,
     OddDimension,
     SizeTooLarge,
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
+    "TOL_UNITARY",
+    "TOL_ZERO",
     "MAX_QUBITS",
     "CsdResult",
     "DemuxResult",
@@ -32,23 +33,13 @@ __all__ = [
     "unitary_sqrt",
     "random_unitary",
     "phase_distance",
+    "qubit_count",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used throughout the pipeline."""
-
-    tol_unitary: float = 1e-10
-    tol_recon: float = 1e-8
-    tol_zero: float = 1e-12
-
-    def __post_init__(self):
-        if min(self.tol_unitary, self.tol_recon, self.tol_zero) <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# Largest max |M^dagger M - I| a matrix may have and still count as unitary.
+TOL_UNITARY = 1e-10
+# Magnitude at or below which an entry, angle or rotation counts as zero.
+TOL_ZERO = 1e-12
 
 # Widest register any compiler, sampler or the dense simulator accepts.
 MAX_QUBITS = 12
@@ -61,16 +52,26 @@ def unitarity_defect(m):
     return np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), axis=(-2, -1))
 
 
-def is_unitary(m, tol=DEFAULT_TOL.tol_unitary):
+def is_unitary(m, tol=TOL_UNITARY):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return unitarity_defect(m) <= tol
 
 
-def check_unitary(m, tol=DEFAULT_TOL.tol_unitary, what="matrix"):
-    if not is_unitary(m, tol):
-        raise NotUnitary(f"{what} is not unitary to tolerance {tol:g}")
+def check_unitary(m, what="matrix"):
+    if not is_unitary(m):
+        raise NotUnitary(f"{what} is not unitary to tolerance {TOL_UNITARY:g}")
+
+
+def qubit_count(dim, max_qubits=MAX_QUBITS):
+    """Number of qubits of a ``dim``-dimensional space, at most ``max_qubits``."""
+    n = dim.bit_length() - 1
+    if dim < 2 or 2**n != dim:
+        raise NotPowerOfTwo(f"dimension {dim} is not a power of two >= 2")
+    if n > max_qubits:
+        raise SizeTooLarge(f"{n} qubits exceeds limit {max_qubits}")
+    return n
 
 
 def wrap_angle(x):
@@ -102,14 +103,14 @@ class CsdResult:
         return left @ self.middle() @ right
 
 
-def cs_decompose(u, tol=DEFAULT_TOL):
+def cs_decompose(u):
     """Cosine-sine decomposition with equal block sizes.
 
     Returns blocks sharing a single theta vector with all angles in
     [0, pi/2]; validated through the reconstruction contract.
     """
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
+    check_unitary(u)
     dim = u.shape[0]
     if dim % 2:
         raise OddDimension(f"CSD needs even dimension, got {dim}")
@@ -130,7 +131,7 @@ class DemuxResult:
         return np.diag(np.exp(1j * self.d_phases))
 
 
-def demultiplex(a, b, tol=DEFAULT_TOL):
+def demultiplex(a, b):
     """Split a block-diagonal pair via the eigendecomposition of ``A B^dagger``.
 
     ``A B^dagger`` is unitary, hence normal; a complex Schur decomposition
@@ -141,8 +142,8 @@ def demultiplex(a, b, tol=DEFAULT_TOL):
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimMismatch(f"shapes {a.shape} vs {b.shape}")
-    check_unitary(a, tol.tol_unitary, "A")
-    check_unitary(b, tol.tol_unitary, "B")
+    check_unitary(a, "A")
+    check_unitary(b, "B")
     try:
         t, v = scipy.linalg.schur(a @ b.conj().T, output="complex")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails here
@@ -154,10 +155,10 @@ def demultiplex(a, b, tol=DEFAULT_TOL):
     return DemuxResult(v=v, w=w, d_phases=phases)
 
 
-def unitary_sqrt(u, tol=DEFAULT_TOL):
+def unitary_sqrt(u):
     """Principal square root of a unitary (eigenphases halved into (-pi/2, pi/2])."""
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
+    check_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
     roots = np.exp(1j * np.angle(np.diagonal(t)) / 2.0)
     return (z * roots) @ z.conj().T

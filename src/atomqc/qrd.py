@@ -12,8 +12,7 @@ import numpy as np
 
 from . import circuit as cir
 from .barenco import lower_circuit
-from .exceptions import NotPowerOfTwo, SizeTooLarge
-from .linalg import DEFAULT_TOL, MAX_QUBITS, check_unitary, wrap_angle
+from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, qubit_count, wrap_angle
 
 __all__ = ["gcb_code", "eliminate_controls", "qrd_compile"]
 
@@ -25,13 +24,6 @@ def gcb_code(i):
     return i ^ (i >> 1)
 
 
-def _qubit_count(dim):
-    n = dim.bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise NotPowerOfTwo(f"dimension {dim} is not a power of two >= 2")
-    return n
-
-
 def _mixed_rows(m, r0, r1, block):
     """Rows ``r0`` and ``r1`` of ``m`` after ``block`` mixes each pair (r0[k], r1[k])."""
     a = m[r0, :]
@@ -39,14 +31,14 @@ def _mixed_rows(m, r0, r1, block):
     return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
 
 
-def _givens_block(u_a, u_b, tol):
+def _givens_block(u_a, u_b):
     """2x2 rotation sending (u_a, u_b)^T to (r, 0)^T with r real non-negative.
 
     ``None`` means there is nothing to eliminate: ``u_b`` is already zero
-    to ``tol.tol_zero`` (which covers the degenerate case where both
+    to ``TOL_ZERO`` (which covers the degenerate case where both
     entries are), and the rows stay as they are.
     """
-    if abs(u_b) <= tol.tol_zero:
+    if abs(u_b) <= TOL_ZERO:
         return None
     r = np.hypot(abs(u_a), abs(u_b))
     return np.array(
@@ -86,7 +78,7 @@ def _row_pairs(controls, pol, target, n_qubits):
 
 
 def eliminate_controls(
-    controls, polarities, target, block, cleared_mask, matrix, n_qubits, tol=DEFAULT_TOL
+    controls, polarities, target, block, cleared_mask, matrix, n_qubits
 ):
     """Drop controls from an MCU while provably preserving cleared entries.
 
@@ -97,7 +89,7 @@ def eliminate_controls(
     ``controls`` and ``polarities`` are tuples; returns the kept ones, worst
     case all of them.
     """
-    threshold = tol.tol_zero * max(matrix.shape[0], 4)
+    threshold = TOL_ZERO * max(matrix.shape[0], 4)
     for q in sorted(controls):
         idx = controls.index(q)
         kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
@@ -114,7 +106,7 @@ def eliminate_controls(
     return controls, polarities
 
 
-def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
+def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
     """Compile a unitary via Givens elimination in Gray order.
 
     Emits the residual diagonal as DIAG_PHASE gates followed by the daggered
@@ -124,11 +116,9 @@ def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubit
     ``eliminate_controls`` proves redundant.
     """
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
+    check_unitary(u)
     dim = u.shape[0]
-    n = _qubit_count(dim)
-    if n > max_qubits:
-        raise SizeTooLarge(f"{n} qubits exceeds limit {max_qubits}")
+    n = qubit_count(dim, max_qubits)
 
     m = u.copy()
     emitted = []
@@ -137,12 +127,12 @@ def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubit
         col = gcb_code(c)
         for s in range(dim - 1, c, -1):
             a, b = gcb_code(s - 1), gcb_code(s)
-            block = _givens_block(complex(m[a, col]), complex(m[b, col]), tol)
+            block = _givens_block(complex(m[a, col]), complex(m[b, col]))
             if block is not None:
                 controls, pol, target, block = _op_to_mcu(a, b, block, n)
                 if drop_controls:
                     controls, pol = eliminate_controls(
-                        controls, pol, target, block, cleared, m, n, tol
+                        controls, pol, target, block, cleared, m, n
                     )
                 r0, r1 = _row_pairs(controls, pol, target, n)
                 m[r0, :], m[r1, :] = _mixed_rows(m, r0, r1, block)
@@ -157,7 +147,7 @@ def qrd_compile(u, *, tol=DEFAULT_TOL, lower=True, drop_controls=True, max_qubit
     for i in range(dim):
         basis = gcb_code(i)
         gamma = wrap_angle(float(np.angle(m[basis, basis])))
-        if abs(gamma) > tol.tol_zero * dim:
+        if abs(gamma) > TOL_ZERO * dim:
             pattern = tuple((basis >> (n - 1 - q)) & 1 for q in range(n))
             gates.append(cir.diag_phase(tuple(range(n)), pattern, gamma))
     # Time order: diagonal first, then the daggered eliminations in reverse.

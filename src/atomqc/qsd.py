@@ -12,9 +12,9 @@ import scipy.linalg
 
 from . import circuit as cir
 from .barenco import lower_1q
-from .exceptions import LengthNotPowerOfTwo, SizeTooLarge
-from .linalg import DEFAULT_TOL, MAX_QUBITS, check_unitary, cs_decompose, demultiplex
-from .qrd import _qubit_count, gcb_code
+from .exceptions import LengthNotPowerOfTwo
+from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, cs_decompose, demultiplex, qubit_count
+from .qrd import gcb_code
 
 __all__ = [
     "multiplexer_angles",
@@ -75,13 +75,13 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
     return tuple(gates)
 
 
-def _mux_rotation_gates(axis, controls, target, thetas, eps):
-    if np.max(np.abs(thetas)) < eps:
+def _mux_rotation_gates(axis, controls, target, thetas):
+    if np.max(np.abs(thetas)) < TOL_ZERO:
         return ()
     return synth_multiplexed_rotation(axis, controls, target, thetas)
 
 
-def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
+def qsd_compile(u, *, max_qubits=MAX_QUBITS):
     """Compile a unitary by recursive Shannon decomposition.
 
     The recursion base is a single qubit (ZY synthesis); sign conventions
@@ -89,10 +89,8 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
     reproduces the input exactly up to accumulated float error.
     """
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, tol.tol_unitary)
-    n = _qubit_count(u.shape[0])
-    if n > max_qubits:
-        raise SizeTooLarge(f"{n} qubits exceeds limit {max_qubits}")
+    check_unitary(u)
+    n = qubit_count(u.shape[0], max_qubits)
 
     gates = []
     phase = 0.0
@@ -106,12 +104,12 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
             gates.extend(frag.gates)
             phase += frag.global_phase
             return
-        csd = cs_decompose(block, tol)
+        csd = cs_decompose(block)
         select = qubits[0]
         lower = qubits[1:]
         # Time order is right to left: diag(a2,b2), middle RY, diag(a1,b1).
         emit_multiplexer(csd.a2, csd.b2, select, lower)
-        gates.extend(_mux_rotation_gates("Y", lower, select, 2.0 * csd.thetas, tol.tol_zero))
+        gates.extend(_mux_rotation_gates("Y", lower, select, 2.0 * csd.thetas))
         emit_multiplexer(csd.a1, csd.b1, select, lower)
 
     def emit_multiplexer(a, b, select, lower):
@@ -119,10 +117,10 @@ def qsd_compile(u, *, tol=DEFAULT_TOL, max_qubits=MAX_QUBITS):
             # Same block on both select states: no multiplexing needed.
             descend(a, lower)
             return
-        dm = demultiplex(a, b, tol)
+        dm = demultiplex(a, b)
         descend(dm.w, lower)
         gates.extend(
-            _mux_rotation_gates("Z", lower, select, -2.0 * dm.d_phases, tol.tol_zero)
+            _mux_rotation_gates("Z", lower, select, -2.0 * dm.d_phases)
         )
         descend(dm.v, lower)
 

@@ -1,4 +1,4 @@
-"""Quaternion algebra and two-pulse synthesis of single-qubit gates.
+"""Single-qubit algebra: ZY angles, quaternions and two-pulse synthesis.
 
 Every single-qubit unitary, stripped of its global phase, is a rotation of
 the Bloch sphere and hence a unit quaternion.  Composing two equal-duration
@@ -18,9 +18,12 @@ import numpy as np
 
 from .circuit import c_matrix
 from .exceptions import NotUnitary, SynthesisFailure
-from .linalg import DEFAULT_TOL, unitarity_defect, wrap_angle
+from .linalg import TOL_UNITARY, TOL_ZERO, check_unitary, unitarity_defect, wrap_angle
 
 __all__ = [
+    "TOL_RECON",
+    "ZyAngles",
+    "zy_decompose",
     "Quaternion",
     "AxisAngle",
     "TwoPulse",
@@ -33,7 +36,8 @@ __all__ = [
     "two_pulse_synthesis",
 ]
 
-_AXIS_EPS = 1e-12
+# Quaternion distance within which composed pulses must reproduce a run.
+TOL_RECON = 1e-8
 # |cos beta| below which a rotation axis counts as equatorial (one pulse).
 _EQUATOR_EPS = 1e-9
 
@@ -53,6 +57,45 @@ def _reject(exc_type, bad, values, what):
         exc = exc_type(f"{what} {np.ravel(values)[rows[0]]:.3e}")
         exc.row = int(rows[0])
         raise exc
+
+
+@dataclass(frozen=True)
+class ZyAngles:
+    """U = e^{i alpha} RZ(beta) RY(gamma) RZ(delta), gamma in [0, pi]."""
+
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+
+
+def zy_decompose(u):
+    u = np.asarray(u, dtype=complex)
+    check_unitary(u, what="2x2 input")
+    alpha = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
+    su = u * np.exp(-1j * alpha)
+    gamma = 2.0 * np.arctan2(abs(su[1, 0]), abs(su[0, 0]))
+    if abs(su[0, 0]) < TOL_ZERO:
+        # gamma = pi: only beta - delta is fixed.
+        a = np.angle(su[1, 0])
+        beta, delta = a, -a
+    elif abs(su[1, 0]) < TOL_ZERO:
+        # gamma = 0: only beta + delta is fixed.
+        beta, delta = -2.0 * np.angle(su[0, 0]), 0.0
+    else:
+        beta = np.angle(su[1, 0]) - np.angle(su[0, 0])
+        delta = -np.angle(su[1, 0]) - np.angle(su[0, 0])
+    # Wrapping beta or delta by 2pi flips the sign of its RZ; compensate an
+    # odd number of flips through alpha so reconstruction stays exact.
+    flips = 0
+    wrapped = []
+    for raw in (beta, delta):
+        w = wrap_angle(raw)
+        flips += round((raw - w) / (2 * np.pi))
+        wrapped.append(w)
+    if flips % 2:
+        alpha = wrap_angle(alpha + np.pi)
+    return ZyAngles(alpha, wrapped[0], float(gamma), wrapped[1])
 
 
 @dataclass(frozen=True)
@@ -113,20 +156,20 @@ class TwoPulse:
         )
 
 
-def quaternion_from_unitary(u, tol=DEFAULT_TOL):
+def quaternion_from_unitary(u):
     """Split U, a 2x2 unitary or a stack of them, into unit quaternions and global phases.
 
     The phase is arg(det U)/2 on the principal branch; the remaining
     special-unitary part maps through U' = wI - i(x sx + y sy + z sz).
     Raises ``NotUnitary`` for the first matrix off unitarity by more than
-    ``tol.tol_unitary``.
+    ``TOL_UNITARY``.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise NotUnitary(f"expected 2x2 matrices, got shape {u.shape}")
     defect = unitarity_defect(u)
-    _reject(NotUnitary, ~(defect <= tol.tol_unitary), defect,
-            f"not unitary to tolerance {tol.tol_unitary:g}: defect")
+    _reject(NotUnitary, ~(defect <= TOL_UNITARY), defect,
+            f"not unitary to tolerance {TOL_UNITARY:g}: defect")
     phase = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
     su = u * np.exp(-1j * np.asarray(phase))[..., None, None]
     q = Quaternion(
@@ -160,7 +203,7 @@ def quaternion_multiply(q2, q1):
 def to_axis_angle(q):
     """Angle in [0, 2 pi) and unit axis; identity maps to the +z axis."""
     vec_norm = np.hypot(np.hypot(q.x, q.y), q.z)
-    ident = vec_norm <= _AXIS_EPS
+    ident = vec_norm <= TOL_ZERO
     safe_norm = _pick(ident, 1.0, vec_norm)
     axis = (
         _pick(ident, 0.0, q.x / safe_norm),
@@ -233,11 +276,14 @@ def _pulse_phase(pulses, q, gamma, tol):
 
     A pulse with theta = 0 is the identity, so one call checks runs of 0, 1
     and 2 pulses together.  The pulse quaternions, composed, must match +-q
-    within ``tol.tol_recon`` (quaternion distance), else ``SynthesisFailure``.
+    within ``tol`` (quaternion distance), else ``SynthesisFailure``; ``tol``
+    must be positive, else ``ValueError``.
     SU(2) factors reproduce the quaternion only up to sign; the sign of the
     quaternion dot product resolves the +-pi ambiguity in gamma without
     touching matrices.
     """
+    if not tol > 0:  # also rejects nan
+        raise ValueError(f"tol must be positive, got {tol}")
     c = Quaternion(1.0, 0.0, 0.0, 0.0)
     for theta, phi in pulses:
         c = quaternion_multiply(_pulse_quaternion(theta, phi), c)
@@ -246,31 +292,31 @@ def _pulse_phase(pulses, q, gamma, tol):
         (c.w - sign * q.w) ** 2 + (c.x - sign * q.x) ** 2
         + (c.y - sign * q.y) ** 2 + (c.z - sign * q.z) ** 2
     )
-    _reject(SynthesisFailure, ~(miss <= tol.tol_recon), miss,
+    _reject(SynthesisFailure, ~(miss <= tol), miss,
             "pulses miss the target rotation by")
     return wrap_angle(_pick(sign < 0, gamma + np.pi, gamma))
 
 
-def synthesize_runs(us, tol=DEFAULT_TOL):
+def synthesize_runs(us, tol=TOL_RECON):
     """Pulse counts and pulses for a stack ``us`` of fused 2x2 runs, shape ``(m, 2, 2)``.
 
     Returns ``(counts, pulses)``: ``counts[i]`` is 0, 1 or 2, and ``pulses``
     is a ``TwoPulse`` of length-m arrays with
     ``e^{i gamma} C(theta2, phi2) C(theta1, phi1) = us[i]``, where the
     pulses beyond ``counts[i]`` have theta = phi = 0.  A rotation by less
-    than ``tol.tol_recon`` (modulo 2 pi) is the identity and emits nothing;
+    than ``tol`` (modulo 2 pi) is the identity and emits nothing;
     a rotation whose axis lies on the equator is one pulse of duration
     alpha; every other rotation is the equal-theta pulse pair.  Every run
     passes the unitarity and the acceptance check; a miss raises
     ``NotUnitary`` or ``SynthesisFailure`` whose ``row`` is the first
     failing run.
     """
-    q, gamma = quaternion_from_unitary(us, tol)
+    q, gamma = quaternion_from_unitary(us)
     aa = to_axis_angle(q)
-    identity = (aa.alpha <= tol.tol_recon) | (2 * np.pi - aa.alpha <= tol.tol_recon)
+    identity = (aa.alpha <= tol) | (2 * np.pi - aa.alpha <= tol)
     # One pulse misses q by about sin(alpha/2) |cos beta|, so the axis
-    # must also lie within tol_recon / 2 of the equator to pass the check.
-    one = ~identity & (np.abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol.tol_recon / 2.0))
+    # must also lie within tol / 2 of the equator to pass the check.
+    one = ~identity & (np.abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol / 2.0))
     counts = np.select([identity, one], [0, 1], 2)
     (theta, phi1), (_, phi2) = _equal_pulses(aa)
     theta1 = np.select([identity, one], [0.0, aa.alpha], theta)
@@ -281,7 +327,7 @@ def synthesize_runs(us, tol=DEFAULT_TOL):
     return counts, TwoPulse(theta1, phi1, theta2, phi2, gamma)
 
 
-def synthesize_run(u, tol=DEFAULT_TOL):
+def synthesize_run(u, tol=TOL_RECON):
     """C pulses (0, 1 or 2 ``(theta, phi)`` pairs, first fired first) and phase gamma.
 
     ``e^{i gamma}`` times the pulses, composed, equals the 2x2 unitary ``u``:
@@ -292,16 +338,16 @@ def synthesize_run(u, tol=DEFAULT_TOL):
     return pulses[: counts[0]], tp.gamma[0]
 
 
-def two_pulse_synthesis(u, tol=DEFAULT_TOL):
+def two_pulse_synthesis(u, tol=TOL_RECON):
     """Exact two-pulse realization of an arbitrary single-qubit unitary.
 
     The paper's construction: always two equal pulses, also where
     ``synthesize_run`` would emit fewer; the identity (to within
-    ``_AXIS_EPS``) is the degenerate pair theta = 0.
+    ``TOL_ZERO``) is the degenerate pair theta = 0.
     """
-    q, gamma = quaternion_from_unitary(u, tol)
+    q, gamma = quaternion_from_unitary(u)
     aa = to_axis_angle(q)
-    identity = aa.alpha <= _AXIS_EPS or 2 * np.pi - aa.alpha <= _AXIS_EPS
+    identity = aa.alpha <= TOL_ZERO or 2 * np.pi - aa.alpha <= TOL_ZERO
     pulses = ((0.0, 0.0), (0.0, 0.0)) if identity else _equal_pulses(aa)
     (theta, phi1), (_, phi2) = pulses
     return TwoPulse(theta, phi1, theta, phi2, _pulse_phase(pulses, q, gamma, tol))

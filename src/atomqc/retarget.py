@@ -12,8 +12,8 @@ import numpy as np
 
 from . import circuit as cir
 from .exceptions import NotUnitary, SynthesisFailure, UnsupportedGate
-from .linalg import DEFAULT_TOL, wrap_angle
-from .quaternion import synthesize_runs
+from .linalg import wrap_angle
+from .quaternion import TOL_RECON, synthesize_runs
 
 __all__ = ["retarget_circuit"]
 
@@ -28,7 +28,7 @@ def _entangling_rewrite(g):
     """
     if g.kind == "CNOT":
         return cir.cz(*g.qubits), g.qubits[1]
-    if g.kind == "MCX" and len(g.qubits) == 3 and 0 not in g.polarities:
+    if g.is_toffoli:
         return cir.ccz(*g.qubits), g.qubits[2]
     if g.kind in ("CZ", "CCZ"):
         return g, None
@@ -95,7 +95,7 @@ def _collect_runs(c):
     return slots, runs, us
 
 
-def retarget_circuit(c, tol=DEFAULT_TOL):
+def retarget_circuit(c, tol=TOL_RECON):
     """Rewrite a lowered circuit over the native set {C, CZ, CCZ}.
 
     One pass collects each qubit's single-qubit run until an entangling

@@ -12,6 +12,9 @@ from . import circuit as cir
 from .exceptions import QubitOutOfRange, SizeTooLarge
 from .linalg import MAX_QUBITS, phase_distance
 
+# Phase-invariant Frobenius distance below which a circuit passes ``verify``.
+VERIFY_TOL = 1e-7
+
 
 def apply_gate(u, g, n_qubits):
     """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``."""
@@ -59,7 +62,7 @@ class CompileReport:
     passed: bool
 
 
-def verify(c, target, tol=1e-7):
+def verify(c, target, tol=VERIFY_TOL):
     """Distance of the circuit's unitary from ``target``, modulo global phase."""
     dist = phase_distance(circuit_unitary(c), np.asarray(target))
     return CompileReport(

@@ -10,10 +10,12 @@ from atomqc.barenco import (
     lower_cu,
     lower_mcu,
     lower_mcx_ladder,
-    zy_decompose,
 )
 from atomqc.exceptions import InsufficientIdleQubits
+from atomqc.formats import render_qasm
 from atomqc.linalg import haar_unitary, phase_distance
+from atomqc.quaternion import zy_decompose
+from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
 
 RNG = np.random.default_rng(4321)
@@ -136,3 +138,17 @@ def test_lower_circuit_dispatch():
         if g.kind == "MCX":
             assert len(g.qubits) == 3 and 0 not in g.polarities
     assert phase_distance(circuit_unitary(lowered), circuit_unitary(c)) < 1e-10
+
+
+@pytest.mark.parametrize("polarity", [0, 1])
+def test_lower_circuit_one_control_mcx(polarity):
+    # One CNOT, conjugated by X when the control triggers on |0>.
+    g = cir.mcx((0,), 1, (polarity,))
+    lowered = lower_circuit(cir.Circuit(2, (g,)))
+    flip = (cir.x(0),) if polarity == 0 else ()
+    assert lowered.gates == flip + (cir.cnot(0, 1),) + flip
+    assert np.max(np.abs(circuit_unitary(lowered) - gate_matrix(g, 2))) < 1e-12
+    native = retarget_circuit(lowered)
+    assert {h.kind for h in native.gates} <= {"C", "CZ"}
+    assert phase_distance(circuit_unitary(native), gate_matrix(g, 2)) < 1e-8
+    assert render_qasm(lowered).count("cx q[0],q[1];") == 1

@@ -273,6 +273,8 @@ def test_help_exits_zero(capsys, argv):
          "angle must be finite, got inf (line 3, col 4)"),
         (["verify", "{tmp}/qubits_twice.seq", "{tmp}/eye4.mat"], {}, EXIT_PARSE,
          "QUBITS appears more than once (line 4)"),
+        (["retarget", "{tmp}/overflow.qasm"], {}, EXIT_PARSE,
+         "angle must be finite, got inf (line 3, col 7)"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -281,6 +283,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     (tmp_path / "eye4.mat").write_text(write_matrix(np.eye(4)))
     (tmp_path / "nan.seq").write_text("SEQUENCE 1\nQUBITS 2\nC 0 nan inf\n")
     (tmp_path / "qubits_twice.seq").write_text("SEQUENCE 1\nQUBITS 3\nCZ 0 2\nQUBITS 2\n")
+    (tmp_path / "overflow.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\nrx(1/(1e308*10)) q[0];\n")
     monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)

@@ -159,6 +159,29 @@ def test_error_diagnostics_carry_line():
     assert "line 3" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "angle,col",
+    [
+        ("1/(1e308*10)", 7),
+        ("1e308*10*0", 4),
+        ("1e999-1e999", 4),
+        ("-(1e308+1e308)", 6),
+        ("pi+1e999", 7),
+    ],
+)
+def test_angle_overflow_is_a_syntax_error(angle, col):
+    # Every literal and partial result must be finite, even where the final
+    # value would be; the column is where the overflowing part starts.
+    with pytest.raises(QasmSyntaxError, match="angle must be finite, got inf") as info:
+        parse_qasm(f"qreg q[1];\nrx({angle}) q[0];\n")
+    assert (info.value.line, info.value.col) == (2, col)
+
+
+def test_tiny_angle_quotient_parses():
+    c = parse_qasm("qreg q[1];\nrx(1e-320/1e-10) q[0];\n")
+    assert c.gates[0].params[0] == 1e-320 / 1e-10
+
+
 def test_no_qreg_rejected():
     with pytest.raises(QasmSyntaxError):
         parse_qasm("OPENQASM 2.0;\nh q[0];\n")

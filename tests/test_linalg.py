@@ -12,8 +12,6 @@ from atomqc.exceptions import (
     SizeTooLarge,
 )
 from atomqc.linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     check_unitary,
     cs_decompose,
     demultiplex,
@@ -27,11 +25,6 @@ from atomqc.linalg import (
 from atomqc.qrd import _givens_block
 
 RNG = np.random.default_rng(1234)
-
-
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(tol_unitary=0.0)
 
 
 def test_is_unitary():
@@ -60,7 +53,7 @@ def test_wrap_angle_principal_branch():
 
 def test_givens_zeroes_target_entry():
     m = haar_unitary(4, RNG)
-    block = _givens_block(complex(m[0, 1]), complex(m[2, 1]), DEFAULT_TOL)
+    block = _givens_block(complex(m[0, 1]), complex(m[2, 1]))
     out = m.copy()
     out[[0, 2], :] = block @ m[[0, 2], :]
     assert abs(out[2, 1]) < 1e-14
@@ -71,13 +64,13 @@ def test_givens_zeroes_target_entry():
 
 def test_givens_degenerate_column():
     m = np.eye(4, dtype=complex)
-    assert _givens_block(complex(m[0, 1]), complex(m[2, 1]), DEFAULT_TOL) is None
+    assert _givens_block(complex(m[0, 1]), complex(m[2, 1])) is None
 
 
 def test_givens_already_zero_is_identity():
     # None tells the elimination loop to leave both rows as they are.
     m = np.eye(4, dtype=complex)
-    assert _givens_block(complex(m[1, 1]), complex(m[2, 1]), DEFAULT_TOL) is None
+    assert _givens_block(complex(m[1, 1]), complex(m[2, 1])) is None
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])

@@ -7,14 +7,12 @@ from atomqc import circuit as cir
 from atomqc import quaternion, retarget
 from atomqc.exceptions import NotUnitary, SynthesisFailure, UnsupportedGate
 from atomqc.linalg import (
-    DEFAULT_TOL,
-    Tolerances,
     haar_unitary,
     phase_distance,
     random_unitary,
 )
 from atomqc.qsd import qsd_compile
-from atomqc.quaternion import synthesize_run
+from atomqc.quaternion import TOL_RECON, synthesize_run
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary
 
@@ -122,14 +120,14 @@ def test_synthesize_run_counts():
     pulses, _ = synthesize_run(np.eye(2, dtype=complex))
     assert pulses == ()
     # An axis 5e-10 off the equator: one pulse would miss q by ~2.4e-10,
-    # more than a tol_recon of 1e-10, so this run needs the pulse pair.
+    # more than a tol of 1e-10, so this run needs the pulse pair.
     cos_b, sin_b = 5e-10, np.sqrt(1.0 - 5e-10**2)
     n_sigma = np.array(
         [[cos_b, sin_b * np.exp(-0.3j)], [sin_b * np.exp(0.3j), -cos_b]]
     )
     near_equator = np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * n_sigma
-    cases = [(haar_unitary(2, RNG), DEFAULT_TOL) for _ in range(50)]
-    cases.append((near_equator, Tolerances(tol_recon=1e-10)))
+    cases = [(haar_unitary(2, RNG), TOL_RECON) for _ in range(50)]
+    cases.append((near_equator, 1e-10))
     for u, tol in cases:
         pulses, gamma = synthesize_run(u, tol)
         assert len(pulses) <= 2
@@ -231,7 +229,15 @@ def test_failing_run_is_named(monkeypatch):
                        match=r"run on qubit 0 from input gate 2: pulses miss .* by \d\.\d+e-\d+"):
         retarget_circuit(c)
     monkeypatch.undo()
-    # X is exactly unitary; H misses by a rounding error, above this tolerance.
+    # X is exactly unitary; the U1 on qubit 1 is not.
+    bad = cir.Gate("U1", (1,), matrix=np.diag([1.0, 1.1]))
     with pytest.raises(NotUnitary,
                        match=r"run on qubit 1 from input gate 1: not unitary .* defect \d"):
-        retarget_circuit(cir.Circuit(2, (cir.x(0), cir.h(1))), Tolerances(tol_unitary=1e-300))
+        retarget_circuit(cir.Circuit(2, (cir.x(0), bad)))
+
+
+def test_tol_must_be_positive():
+    c = cir.Circuit(1, (cir.h(0),))
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            retarget_circuit(c, tol)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomqc.circuit import c_matrix
-from atomqc.linalg import DEFAULT_TOL, Tolerances, haar_unitary
-from atomqc.quaternion import synthesize_run, synthesize_runs
+from atomqc.linalg import haar_unitary
+from atomqc.quaternion import TOL_RECON, synthesize_run, synthesize_runs
 
 PI = np.pi
 SIGMA = (
@@ -58,7 +58,7 @@ runs = st.lists(
     min_size=1,
     max_size=12,
 )
-tolerances = st.sampled_from([DEFAULT_TOL, Tolerances(tol_recon=1e-10)])
+tolerances = st.sampled_from([TOL_RECON, 1e-10])
 
 
 def _angle_gap(a, b):
