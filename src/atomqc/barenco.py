@@ -98,23 +98,24 @@ def lower_mcx_ladder(controls, target, idle, n_qubits):
     return cir.Circuit(n_qubits, tuple(gates))
 
 
-def _mcx_fragment(controls, target, n_qubits):
-    """C^m X over the allowed endpoint set, picking the cheapest construction."""
-    m = len(controls)
-    if m == 1:
-        return cir.Circuit(n_qubits, (cir.cnot(controls[0], target),))
-    if m == 2:
-        return cir.Circuit(n_qubits, (cir.toffoli(controls[0], controls[1], target),))
-    idle = [q for q in range(n_qubits) if q != target and q not in controls]
-    if len(idle) >= m - 2:
-        return lower_mcx_ladder(controls, target, idle, n_qubits)
-    return _mcu_recursive(controls, target, _X, n_qubits)
-
-
 def _mcu_recursive(controls, target, u, n_qubits):
+    """C^m U over {rotations, CNOT, Toffoli}, every control on |1>.
+
+    A block exactly equal to X takes the cheapest C^m X: a CNOT or a
+    Toffoli, else the ladder when m - 2 qubits are idle, else the
+    square-root recursion like any other block.
+    """
     m = len(controls)
     if m == 0:
         return lower_1q(target, u, n_qubits)
+    if np.array_equal(u, _X):
+        if m == 1:
+            return cir.Circuit(n_qubits, (cir.cnot(controls[0], target),))
+        if m == 2:
+            return cir.Circuit(n_qubits, (cir.toffoli(controls[0], controls[1], target),))
+        idle = [q for q in range(n_qubits) if q != target and q not in controls]
+        if len(idle) >= m - 2:
+            return lower_mcx_ladder(controls, target, idle, n_qubits)
     if m == 1:
         return lower_cu(controls[0], target, u, n_qubits)
     v = unitary_sqrt(u)
@@ -124,9 +125,9 @@ def _mcu_recursive(controls, target, u, n_qubits):
     phase = 0.0
     for piece in (
         lower_cu(last, target, v, n_qubits),
-        _mcx_fragment(rest, last, n_qubits),
+        _mcu_recursive(rest, last, _X, n_qubits),
         lower_cu(last, target, v.conj().T, n_qubits),
-        _mcx_fragment(rest, last, n_qubits),
+        _mcu_recursive(rest, last, _X, n_qubits),
         _mcu_recursive(rest, target, v, n_qubits),
     ):
         gates.extend(piece.gates)
@@ -149,49 +150,25 @@ def lower_mcu(controls, polarities, target, u, n_qubits):
     return cir.Circuit(n_qubits, pre + core.gates + pre, core.global_phase)
 
 
-def _lower_diag_phase(g, n_qubits):
-    gamma = g.params[0]
-    qubits = g.qubits
-    pattern = g.polarities
-    if len(qubits) == 1:
-        q = qubits[0]
-        if pattern[0] == 1:
-            return cir.Circuit(n_qubits, (cir.phase(gamma, q),))
-        # diag(e^{i gamma}, 1) = e^{i gamma} * diag(1, e^{-i gamma})
-        return cir.Circuit(n_qubits, (cir.phase(-gamma, q),), gamma)
-    target = qubits[-1]
-    if pattern[-1] == 1:
-        block = np.diag([1.0, np.exp(1j * gamma)])
-    else:
-        block = np.diag([np.exp(1j * gamma), 1.0])
-    return lower_mcu(qubits[:-1], pattern[:-1], target, block, n_qubits)
-
-
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    The output uses single-qubit gates, CNOT, CZ, CCZ and Toffolis
-    (``Gate.is_toffoli``); a one-control MCX becomes one CNOT.
+    Each goes through ``lower_mcu`` as its ``controlled_block``, so the output
+    holds single-qubit gates, CNOT, CZ, CCZ and Toffolis (``Gate.is_toffoli``);
+    a one-qubit DIAG_PHASE becomes one PHASE.
     """
     gates = []
     phase = c.global_phase
     for g in c.gates:
-        if g.kind == "MCU":
-            frag = lower_mcu(
-                g.qubits[:-1], g.polarities, g.qubits[-1], g.matrix, c.n_qubits
-            )
-        elif g.kind == "MCX" and len(g.qubits) == 2:
-            flip = (cir.x(g.qubits[0]),) if g.polarities[0] == 0 else ()
-            frag = cir.Circuit(c.n_qubits, flip + (cir.cnot(*g.qubits),) + flip)
-        elif g.kind == "MCX" and not g.is_toffoli:
-            frag = lower_mcu(
-                g.qubits[:-1], g.polarities, g.qubits[-1], _X, c.n_qubits
-            )
-        elif g.kind == "DIAG_PHASE":
-            frag = _lower_diag_phase(g, c.n_qubits)
+        if g.kind == "DIAG_PHASE" and g.is_single_qubit:
+            # diag(e^{i gamma}, 1) = e^{i gamma} * diag(1, e^{-i gamma})
+            gamma, on_one = g.params[0], g.polarities[0]
+            gates.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
+            phase += 0.0 if on_one else gamma
+        elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
+            frag = lower_mcu(*cir.controlled_block(g), c.n_qubits)
+            gates.extend(frag.gates)
+            phase += frag.global_phase
         else:
             gates.append(g)
-            continue
-        gates.extend(frag.gates)
-        phase += frag.global_phase
     return cir.Circuit(c.n_qubits, tuple(gates), phase)

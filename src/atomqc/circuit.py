@@ -162,6 +162,7 @@ def diag_phase(qubits, pattern, gamma):
 
 _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
 
 
 def c_matrix(theta, phi):
@@ -183,15 +184,8 @@ def rotation_matrix(axis, theta):
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def _pattern_index(polarities):
-    idx = 0
-    for bit in polarities:
-        idx = (idx << 1) | bit
-    return idx
-
-
 def gate_local_matrix(g):
-    """Matrix of ``g`` over its own qubits, first listed qubit most significant."""
+    """The 2x2 matrix of a single-qubit kind; ``controlled_block`` covers every kind."""
     if g.kind in ("RX", "RY", "RZ"):
         return rotation_matrix(g.kind[1], g.params[0])
     if g.kind == "H":
@@ -204,30 +198,50 @@ def gate_local_matrix(g):
         return np.diag([1.0, np.exp(1j * g.params[0])])
     if g.kind == "U1":
         return np.asarray(g.matrix, dtype=complex)
-    if g.kind == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[2:, 2:] = _X
-        return m
-    if g.kind == "CZ":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    if g.kind == "CCZ":
-        d = np.ones(8, dtype=complex)
-        d[7] = -1.0
-        return np.diag(d)
-    if g.kind in ("MCU", "MCX"):
-        k = len(g.qubits)
-        block = _X if g.kind == "MCX" else np.asarray(g.matrix)
-        m = np.eye(2**k, dtype=complex)
-        base = _pattern_index(g.polarities) << 1
-        rows = [base, base + 1]
-        m[np.ix_(rows, rows)] = block
-        return m
+    raise ValueError(f"{g.kind} has no single-qubit matrix; use controlled_block")
+
+
+def controlled_block(g):
+    """``(controls, polarities, target, block)``: ``g`` applies the 2x2 ``block``
+    to ``target`` on the basis states where each control reads its polarity.
+
+    A single-qubit gate has no controls.  DIAG_PHASE puts its phase on the
+    target state its last polarity selects.
+    """
+    controls, target = g.qubits[:-1], g.qubits[-1]
     if g.kind == "DIAG_PHASE":
-        k = len(g.qubits)
-        d = np.ones(2**k, dtype=complex)
-        d[_pattern_index(g.polarities)] = np.exp(1j * g.params[0])
-        return np.diag(d)
-    raise ValueError(f"no matrix for kind {g.kind!r}")  # pragma: no cover
+        e = np.exp(1j * g.params[0])
+        block = np.diag([1.0, e]) if g.polarities[-1] else np.diag([e, 1.0])
+        return controls, g.polarities[:-1], target, block
+    if g.kind in ("MCU", "MCX"):
+        return controls, g.polarities, target, _X if g.kind == "MCX" else g.matrix
+    if g.kind in ("CNOT", "CZ", "CCZ"):
+        return controls, (1,) * len(controls), target, _X if g.kind == "CNOT" else _Z
+    return (), (), target, gate_local_matrix(g)
+
+
+def row_pairs(controls, polarities, target, n_qubits):
+    """Basis-state index arrays ``(r0, r1)`` that a controlled block mixes.
+
+    ``r0[k]`` and ``r1[k]`` match every control's polarity and differ only
+    in the target bit, which ``r0`` has clear; ``r0`` is ascending.
+    """
+    tbit = 1 << (n_qubits - 1 - target)
+    mask, base = tbit, 0
+    for q, p in zip(controls, polarities):
+        bit = 1 << (n_qubits - 1 - q)
+        mask |= bit
+        base |= p * bit
+    rows = np.arange(2**n_qubits)
+    r0 = rows[(rows & mask) == base]
+    return r0, r0 | tbit
+
+
+def mixed_rows(m, r0, r1, block):
+    """Rows ``r0`` and ``r1`` of ``m`` after ``block`` mixes each pair (r0[k], r1[k])."""
+    a = m[r0, :]
+    b = m[r1, :]
+    return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
 
 
 @dataclass(frozen=True)
@@ -253,13 +267,14 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
-            _validate(g, self.n_qubits)
+            check_qubits(g, self.n_qubits)
 
     def __len__(self):
         return len(self.gates)
 
 
-def _validate(gate, n_qubits):
+def check_qubits(gate, n_qubits):
+    """Raise ``QubitOutOfRange`` unless every qubit of ``gate`` is below ``n_qubits``."""
     for q in gate.qubits:
         if not 0 <= q < n_qubits:
             raise QubitOutOfRange(f"qubit {q} outside width {n_qubits}")

@@ -269,7 +269,10 @@ def parse_qasm(text):
         qubits = [qubit_ref()]
         while p.peek() is not None and p.peek().text == ",":
             p.next()
+            ref = p.peek()
             qubits.append(qubit_ref())
+            if qubits[-1] in qubits[:-1]:
+                raise QasmSyntaxError(f"{gname} repeats a qubit operand", ref.line, ref.col)
         p.next(expect=";")
 
         if gname in _ONE_QUBIT_SIMPLE and len(qubits) == 1:

@@ -24,13 +24,6 @@ def gcb_code(i):
     return i ^ (i >> 1)
 
 
-def _mixed_rows(m, r0, r1, block):
-    """Rows ``r0`` and ``r1`` of ``m`` after ``block`` mixes each pair (r0[k], r1[k])."""
-    a = m[r0, :]
-    b = m[r1, :]
-    return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
-
-
 def _givens_block(u_a, u_b):
     """2x2 rotation sending (u_a, u_b)^T to (r, 0)^T with r real non-negative.
 
@@ -63,20 +56,6 @@ def _op_to_mcu(a, b, block, n_qubits):
     return controls, pol, target, block
 
 
-def _row_pairs(controls, pol, target, n_qubits):
-    """(row0, row1) basis pairs an MCU acts on, as index arrays."""
-    free = [q for q in range(n_qubits) if q != target and q not in controls]
-    tbit = 1 << (n_qubits - 1 - target)
-    base = 0
-    for q, p in zip(controls, pol):
-        base |= p << (n_qubits - 1 - q)
-    r0 = np.full(2 ** len(free), base, dtype=int)
-    for pos, q in enumerate(free):
-        stride = 1 << (n_qubits - 1 - q)
-        r0 += stride * ((np.arange(2 ** len(free)) >> pos) & 1)
-    return r0, r0 | tbit
-
-
 def eliminate_controls(
     controls, polarities, target, block, cleared_mask, matrix, n_qubits
 ):
@@ -93,16 +72,11 @@ def eliminate_controls(
     for q in sorted(controls):
         idx = controls.index(q)
         kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
-        r0, r1 = _row_pairs(*kept, target, n_qubits)
-        new0, new1 = _mixed_rows(matrix, r0, r1, block)
-        bad = 0.0
-        if cleared_mask[r0].any():
-            bad = max(bad, np.max(np.abs(new0[cleared_mask[r0]])))
-        if cleared_mask[r1].any():
-            bad = max(bad, np.max(np.abs(new1[cleared_mask[r1]])))
-        if bad > threshold:
-            continue
-        controls, polarities = kept
+        r0, r1 = cir.row_pairs(*kept, target, n_qubits)
+        new = zip(cir.mixed_rows(matrix, r0, r1, block), (r0, r1))
+        bad = max(np.abs(rows[cleared_mask[r]]).max(initial=0.0) for rows, r in new)
+        if bad <= threshold:
+            controls, polarities = kept
     return controls, polarities
 
 
@@ -134,8 +108,8 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     controls, pol = eliminate_controls(
                         controls, pol, target, block, cleared, m, n
                     )
-                r0, r1 = _row_pairs(controls, pol, target, n)
-                m[r0, :], m[r1, :] = _mixed_rows(m, r0, r1, block)
+                r0, r1 = cir.row_pairs(controls, pol, target, n)
+                m[r0, :], m[r1, :] = cir.mixed_rows(m, r0, r1, block)
                 emitted.append(cir.mcu(controls, target, block, pol))
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).

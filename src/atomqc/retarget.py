@@ -81,7 +81,7 @@ def _collect_runs(c):
 
     for i, g in enumerate(c.gates):
         if g.is_single_qubit:
-            join(g.qubits[0], cir.gate_local_matrix(g), i)
+            join(g.qubits[0], cir.controlled_block(g)[3], i)
             continue
         native, target = _entangling_rewrite(g)
         if target is not None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as cir
-from .exceptions import QubitOutOfRange, SizeTooLarge
+from .exceptions import SizeTooLarge
 from .linalg import MAX_QUBITS, phase_distance
 
 # Phase-invariant Frobenius distance below which a circuit passes ``verify``.
@@ -17,19 +17,12 @@ VERIFY_TOL = 1e-7
 
 
 def apply_gate(u, g, n_qubits):
-    """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``."""
-    for q in g.qubits:
-        if not 0 <= q < n_qubits:
-            raise QubitOutOfRange(f"qubit {q} outside width {n_qubits}")
-    local = cir.gate_local_matrix(g)
-    k = len(g.qubits)
-    cols = u.shape[1]
-    t = u.reshape([2] * n_qubits + [cols])
-    t = np.moveaxis(t, g.qubits, range(k))
-    rest = t.shape[k:]
-    t = (local @ t.reshape(2**k, -1)).reshape([2] * k + list(rest))
-    t = np.moveaxis(t, range(k), g.qubits)
-    return t.reshape(2**n_qubits, cols)
+    """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``, in place."""
+    cir.check_qubits(g, n_qubits)
+    controls, polarities, target, block = cir.controlled_block(g)
+    r0, r1 = cir.row_pairs(controls, polarities, target, n_qubits)
+    u[r0], u[r1] = cir.mixed_rows(u, r0, r1, block)
+    return u
 
 
 def gate_matrix(g, n_qubits):

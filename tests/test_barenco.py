@@ -152,3 +152,20 @@ def test_lower_circuit_one_control_mcx(polarity):
     assert {h.kind for h in native.gates} <= {"C", "CZ"}
     assert phase_distance(circuit_unitary(native), gate_matrix(g, 2)) < 1e-8
     assert render_qasm(lowered).count("cx q[0],q[1];") == 1
+
+
+@pytest.mark.parametrize(
+    "controls,polarities,target,n,count",
+    [
+        ((0, 1), (0, 1), 2, 3, 3),  # X, Toffoli, X
+        ((0, 1, 2), (1, 1, 1), 3, 5, 4),  # ladder on one idle qubit
+        ((0, 1, 2, 3), (1, 1, 1, 1), 4, 6, 61),  # one idle qubit of two: square roots
+        ((0, 1, 2, 3), (1, 1, 1, 1), 4, 7, 8),  # ladder on two idle qubits
+    ],
+)
+def test_lower_circuit_mcx(controls, polarities, target, n, count):
+    g = cir.mcx(controls, target, polarities)
+    lowered = lower_circuit(cir.Circuit(n, (g,)))
+    assert len(lowered.gates) == count
+    assert all(h.kind == "CNOT" or h.is_toffoli for h in lowered.gates if len(h.qubits) > 1)
+    assert np.max(np.abs(circuit_unitary(lowered) - gate_matrix(g, n))) < 1e-12

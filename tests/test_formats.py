@@ -177,6 +177,17 @@ def test_angle_overflow_is_a_syntax_error(angle, col):
     assert (info.value.line, info.value.col) == (2, col)
 
 
+@pytest.mark.parametrize(
+    "stmt,col",
+    [("cx q[0],q[0];", 9), ("ccx q[0],q[1],q[0];", 15), ("ccz q[2], q[1], q[1];", 17)],
+)
+def test_repeated_qubit_is_a_syntax_error(stmt, col):
+    # Named at the repeated operand, like a duplicate qubit in SEQUENCE.
+    with pytest.raises(QasmSyntaxError, match="repeats a qubit operand") as info:
+        parse_qasm(f"qreg q[3];\n{stmt}\n")
+    assert (info.value.line, info.value.col) == (2, col)
+
+
 def test_tiny_angle_quotient_parses():
     c = parse_qasm("qreg q[1];\nrx(1e-320/1e-10) q[0];\n")
     assert c.gates[0].params[0] == 1e-320 / 1e-10

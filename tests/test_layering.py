@@ -1,9 +1,9 @@
 """Module layering, imports and thresholds, checked on the source text.
 
-The IR and the stages below the simulator must not import the simulator or
-the CLI, the text formats must not import a compiler, and no module may pull
-in ``scipy.optimize`` (slow to import, and the compiler has no use for a
-numeric solver).  No module reaches for another module's ``_``-prefixed
+The IR, the compilers and the stages below the simulator must not import the
+simulator or the CLI, the text formats must not import a compiler, no module
+calls ``np.moveaxis``, and no module may pull in ``scipy.optimize`` (slow to
+import, and the compiler has no use for a numeric solver).  No module reaches for another module's ``_``-prefixed
 names.  No module or test imports a name it never uses; the package
 ``__init__`` only re-exports, so it is exempt.  Every small float threshold
 is a named module constant, and no two constants share a value.
@@ -34,10 +34,23 @@ def _imports(path):
     return names
 
 
-@pytest.mark.parametrize("module", ["circuit", "barenco", "quaternion", "retarget", "formats"])
+@pytest.mark.parametrize(
+    "module", ["circuit", "barenco", "qrd", "qsd", "quaternion", "retarget", "formats"]
+)
 def test_lower_layers_do_not_import_simulator_or_cli(module):
     imported = _imports(SRC / f"{module}.py")
     assert not {name for name in imported if name.startswith(("atomqc.simulate", "atomqc.cli"))}
+
+
+def test_no_module_calls_moveaxis():
+    # A gate meets basis states only through circuit.row_pairs.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "moveaxis"
+    ]
+    assert not calls
 
 
 def test_formats_imports_no_compiler():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
+from atomqc.circuit import row_pairs
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
-from atomqc.qrd import _row_pairs, gcb_code, qrd_compile
+from atomqc.qrd import gcb_code, qrd_compile
 from atomqc.simulate import circuit_unitary, gate_matrix
 
 RNG = np.random.default_rng(55)
@@ -52,7 +53,7 @@ def test_eliminate_ops_are_gray_adjacent():
     u = random_unitary(3, seed=1)
     ops, _ = _elimination_ops(u)
     for op in ops:
-        (basis_a,), (basis_b,) = _row_pairs(op.qubits[:-1], op.polarities, op.qubits[-1], 3)
+        (basis_a,), (basis_b,) = row_pairs(op.qubits[:-1], op.polarities, op.qubits[-1], 3)
         assert bin(basis_a ^ basis_b).count("1") == 1
     dim = 8
     assert len(ops) <= dim * (dim - 1) // 2

@@ -1,14 +1,18 @@
 """Tests for the dense simulator and verification metrics."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from atomqc import circuit as cir
 from atomqc.circuit import c_matrix, rotation_matrix
 from atomqc.exceptions import QubitOutOfRange, SizeTooLarge
+from atomqc.formats import parse_qasm
 from atomqc.linalg import haar_unitary
 from atomqc.simulate import circuit_unitary, cnot_lower_bound, gate_matrix, verify
 
+CORPUS = pathlib.Path(__file__).parent / "qasm_corpus"
 RNG = np.random.default_rng(99)
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -125,3 +129,102 @@ def test_verify_report_and_sensitivity():
     assert not report.passed
     assert report.distance > 1e-4
 
+
+
+# An independent reference for the shared row-pair kernel: every gate's full
+# matrix as I - P_c (x) I + P_c (x) B, built with np.kron from the gate's
+# definition alone, with no atomqc matrix or kernel code.
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _kron_all(n, factors):
+    """Kronecker product over qubits 0..n-1, qubit 0 leftmost, of ``factors.get(q, I)``."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def _reference_block(g):
+    """The 2x2 a gate applies to its last qubit, from the textbook definitions."""
+    t = g.params[0] if g.params else 0.0
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    if g.kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if g.kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if g.kind == "RZ":
+        return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+    if g.kind == "C":
+        phi = g.params[1]
+        return np.array([[c, -np.exp(1j * phi) * s], [np.exp(-1j * phi) * s, c]])
+    if g.kind == "PHASE":
+        return np.diag([1.0, np.exp(1j * t)])
+    if g.kind == "H":
+        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    if g.kind in ("X", "CNOT", "MCX"):
+        return X
+    if g.kind in ("CZ", "CCZ"):
+        return Z
+    return g.matrix  # U1, MCU
+
+
+def _reference_matrix(g, n):
+    if g.kind == "DIAG_PHASE":
+        # I + (e^{i gamma} - 1) P, with P the projector on the polarity pattern.
+        proj = _kron_all(n, {q: np.diag([1 - p, p]) for q, p in zip(g.qubits, g.polarities)})
+        return np.eye(2**n) + (np.exp(1j * g.params[0]) - 1) * proj
+    controls = g.qubits[:-1]
+    polarities = g.polarities or (1,) * len(controls)
+    proj = {q: np.diag([1 - p, p]) for q, p in zip(controls, polarities)}
+    p_c = _kron_all(n, proj)
+    return np.eye(2**n) - p_c + _kron_all(n, {**proj, g.qubits[-1]: _reference_block(g)})
+
+
+def _random_gates(n, rng):
+    """One gate of every kind that fits on ``n`` qubits, on random qubits and polarities."""
+    def qubits(k):
+        return tuple(int(q) for q in rng.permutation(n)[:k])
+
+    def bits(k):
+        return tuple(int(b) for b in rng.integers(0, 2, k))
+
+    angle = float(rng.uniform(-7, 7))
+    gates = [
+        cir.rx(angle, *qubits(1)), cir.ry(angle, *qubits(1)), cir.rz(angle, *qubits(1)),
+        cir.h(*qubits(1)), cir.x(*qubits(1)), cir.phase(angle, *qubits(1)),
+        cir.c_gate(angle, float(rng.uniform(-7, 7)), *qubits(1)),
+        cir.u1q(haar_unitary(2, rng), *qubits(1)),
+    ]
+    for k in range(1, n + 1):
+        gates.append(cir.diag_phase(qubits(k), bits(k), angle))
+    for k in range(2, n + 1):
+        qs = qubits(k)
+        gates.append(cir.mcu(qs[:-1], qs[-1], haar_unitary(2, rng), bits(k - 1)))
+        gates.append(cir.mcx(qs[:-1], qs[-1], bits(k - 1)))
+    if n >= 2:
+        gates += [cir.cnot(*qubits(2)), cir.cz(*qubits(2))]
+    if n >= 3:
+        gates.append(cir.ccz(*qubits(3)))
+    return gates
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gate_matrix_matches_projector_reference(n):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(4):
+        for g in _random_gates(n, rng):
+            err = np.max(np.abs(gate_matrix(g, n) - _reference_matrix(g, n)))
+            assert err < 1e-14, (g.kind, g.qubits, g.polarities)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in CORPUS.glob("*.qasm") if not p.name.startswith("err_"))
+)
+def test_circuit_unitary_matches_projector_reference(name):
+    c = parse_qasm((CORPUS / name).read_text())
+    expect = np.eye(2**c.n_qubits, dtype=complex)
+    for g in c.gates:
+        expect = _reference_matrix(g, c.n_qubits) @ expect
+    assert np.max(np.abs(circuit_unitary(c) - expect)) < 1e-12
