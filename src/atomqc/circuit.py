@@ -13,6 +13,7 @@ Gates and circuits are immutable value types.
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,11 +221,17 @@ def controlled_block(g):
     return (), (), target, gate_local_matrix(g)
 
 
+# A circuit has few distinct (controls, polarities, target) keys: at n = 6,
+# QRD's MCUs have at most 6 * 3^5 = 1458, and the simulator meets the same
+# keys gate after gate.  An entry holds 2^n indices: 32 KiB at 12 qubits.
+@lru_cache(maxsize=2048)
 def row_pairs(controls, polarities, target, n_qubits):
     """Basis-state index arrays ``(r0, r1)`` that a controlled block mixes.
 
     ``r0[k]`` and ``r1[k]`` match every control's polarity and differ only
-    in the target bit, which ``r0`` has clear; ``r0`` is ascending.
+    in the target bit, which ``r0`` has clear; ``r0`` is ascending.  The
+    arguments are tuples and ints; the arrays are read-only, shared by
+    every call with the same arguments.
     """
     tbit = 1 << (n_qubits - 1 - target)
     mask, base = tbit, 0
@@ -234,7 +241,9 @@ def row_pairs(controls, polarities, target, n_qubits):
         base |= p * bit
     rows = np.arange(2**n_qubits)
     r0 = rows[(rows & mask) == base]
-    return r0, r0 | tbit
+    r1 = r0 | tbit
+    r0.flags.writeable = r1.flags.writeable = False
+    return r0, r1
 
 
 def mixed_rows(m, r0, r1, block):

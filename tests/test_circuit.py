@@ -73,3 +73,13 @@ def test_gate_counts():
     assert counts.get("CNOT") == 1
     assert counts.entangling_total == 2
     assert counts.single_qubit_total == 2
+
+
+def test_row_pairs_shared_and_read_only():
+    r0, r1 = cir.row_pairs((0, 2), (1, 0), 1, 3)
+    assert r0.tolist() == [0b100] and r1.tolist() == [0b110]
+    # Calls share the cached arrays, which cannot be written.
+    again = cir.row_pairs((0, 2), (1, 0), 1, 3)
+    assert again[0] is r0 and again[1] is r1
+    with pytest.raises(ValueError):
+        r0[0] = 1
