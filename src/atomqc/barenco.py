@@ -3,86 +3,68 @@
 Provides the single-qubit lowering through ZY angles, the ABC construction
 for controlled-U, the recursive lowering of multi-controlled gates via
 unitary square roots, and the Toffoli ladder for multi-controlled NOT with
-borrowed qubits.
+borrowed qubits.  Each construction appends its gates to the caller's list
+and returns their global phase; ``lower_circuit`` builds the one ``Circuit``.
 """
 
 import numpy as np
 
 from . import circuit as cir
-from .exceptions import InsufficientIdleQubits
 from .linalg import TOL_ZERO, check_unitary, unitary_sqrt
 from .quaternion import zy_decompose
 
 _X = cir.gate_local_matrix(cir.x(0))
 
 
-def _rot_gates(q, *axis_angle_pairs):
-    """Rotation gates in time order plus the phase that keeps them exact.
+def _rot_gates(gates, q, *axis_angle_pairs):
+    """Append rotation gates in time order; return the phase that keeps them exact.
 
     Canonicalizing a rotation angle into [0, 2pi) flips the matrix sign once
-    per 2pi wrap; the accumulated correction is returned alongside the gates.
+    per 2pi wrap; the accumulated correction is the returned phase.
     """
-    out = []
     phase = 0.0
     for axis, angle in axis_angle_pairs:
         if abs(angle) <= TOL_ZERO:
             continue
         gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
         phase += np.pi * round((angle - gate.params[0]) / (2 * np.pi))
-        out.append(gate)
-    return out, phase
+        gates.append(gate)
+    return phase
 
 
-def lower_1q(q, u, n_qubits):
-    """Single-qubit unitary as RZ/RY rotations plus global phase."""
+def lower_1q(gates, q, u):
+    """Append a single-qubit unitary as RZ/RY rotations; return its global phase."""
     zy = zy_decompose(u)
-    gates, extra = _rot_gates(q, ("Z", zy.delta), ("Y", zy.gamma), ("Z", zy.beta))
-    return cir.Circuit(n_qubits, tuple(gates), zy.alpha + extra)
+    return zy.alpha + _rot_gates(gates, q, ("Z", zy.delta), ("Y", zy.gamma), ("Z", zy.beta))
 
 
-def lower_cu(control, target, u, n_qubits):
+def _lower_cu(gates, control, target, u):
     """Controlled-U over {rotations, CNOT} via the ABC construction."""
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, what="controlled 2x2 block")
     if np.max(np.abs(u - np.eye(2))) < TOL_ZERO:
-        return cir.Circuit(n_qubits)
+        return 0.0
     zy = zy_decompose(u)
-    gates = []
-    phase = 0.0
-
-    def emit(q, *pairs):
-        nonlocal phase
-        out, extra = _rot_gates(q, *pairs)
-        gates.extend(out)
-        # Sign flips on the target half-rotations hit both control branches
-        # pairwise, but tracking them keeps the fragment exact regardless.
-        phase += extra
-
-    emit(target, ("Z", (zy.delta - zy.beta) / 2))
+    # Sign flips on the target half-rotations hit both control branches
+    # pairwise, but tracking them keeps the gates exact regardless.
+    phase = _rot_gates(gates, target, ("Z", (zy.delta - zy.beta) / 2))
     gates.append(cir.cnot(control, target))
-    emit(target, ("Z", -(zy.delta + zy.beta) / 2), ("Y", -zy.gamma / 2))
+    phase += _rot_gates(gates, target, ("Z", -(zy.delta + zy.beta) / 2), ("Y", -zy.gamma / 2))
     gates.append(cir.cnot(control, target))
-    emit(target, ("Y", zy.gamma / 2), ("Z", zy.beta))
+    phase += _rot_gates(gates, target, ("Y", zy.gamma / 2), ("Z", zy.beta))
     if abs(zy.alpha) > TOL_ZERO:
         # diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
-        emit(control, ("Z", zy.alpha))
+        phase += _rot_gates(gates, control, ("Z", zy.alpha))
         phase += zy.alpha / 2
-    return cir.Circuit(n_qubits, tuple(gates), phase)
+    return phase
 
 
-def lower_mcx_ladder(controls, target, idle, n_qubits):
-    """C^m X as 4(m-2) Toffolis using ``idle`` qubits as a borrow chain.
+def _mcx_ladder(gates, controls, target, idle):
+    """Append C^m X, m >= 3, as 4(m-2) Toffolis using m - 2 ``idle`` qubits as a borrow chain.
 
     The borrowed qubits may hold arbitrary states; the compute-uncompute
     symmetry restores them exactly.
     """
-    controls = list(controls)
     m = len(controls)
-    if m < 3:
-        raise ValueError("ladder needs at least 3 controls")
-    if len(idle) < m - 2:
-        raise InsufficientIdleQubits(f"need {m - 2} idle qubits, have {len(idle)}")
-    borrows = list(idle)[: m - 2]
+    borrows = idle[: m - 2]
 
     # Toffoli chain from the target down to the first two controls.
     chain = [(controls[-1], borrows[-1], target)]
@@ -94,12 +76,11 @@ def lower_mcx_ladder(controls, target, idle, n_qubits):
     up = list(reversed(down))
     # Descend, ascend (without repeating the bottom), descend again without
     # the top, ascend again: 4(m-2) Toffolis, borrows restored.
-    gates = down + up[1:] + down[1:] + up[1:-1]
-    return cir.Circuit(n_qubits, tuple(gates))
+    gates.extend(down + up[1:] + down[1:] + up[1:-1])
 
 
-def _mcu_recursive(controls, target, u, n_qubits):
-    """C^m U over {rotations, CNOT, Toffoli}, every control on |1>.
+def _mcu_recursive(gates, controls, target, u, n_qubits):
+    """Append C^m U over {rotations, CNOT, Toffoli}, every control on |1>; return its phase.
 
     A block exactly equal to X takes the cheapest C^m X: a CNOT or a
     Toffoli, else the ladder when m - 2 qubits are idle, else the
@@ -107,55 +88,43 @@ def _mcu_recursive(controls, target, u, n_qubits):
     """
     m = len(controls)
     if m == 0:
-        return lower_1q(target, u, n_qubits)
+        return lower_1q(gates, target, u)
     if np.array_equal(u, _X):
         if m == 1:
-            return cir.Circuit(n_qubits, (cir.cnot(controls[0], target),))
+            gates.append(cir.cnot(controls[0], target))
+            return 0.0
         if m == 2:
-            return cir.Circuit(n_qubits, (cir.toffoli(controls[0], controls[1], target),))
+            gates.append(cir.toffoli(controls[0], controls[1], target))
+            return 0.0
         idle = [q for q in range(n_qubits) if q != target and q not in controls]
         if len(idle) >= m - 2:
-            return lower_mcx_ladder(controls, target, idle, n_qubits)
+            _mcx_ladder(gates, controls, target, idle)
+            return 0.0
     if m == 1:
-        return lower_cu(controls[0], target, u, n_qubits)
+        return _lower_cu(gates, controls[0], target, u)
     v = unitary_sqrt(u)
     last = controls[-1]
     rest = controls[:-1]
-    gates = []
-    phase = 0.0
-    for piece in (
-        lower_cu(last, target, v, n_qubits),
-        _mcu_recursive(rest, last, _X, n_qubits),
-        lower_cu(last, target, v.conj().T, n_qubits),
-        _mcu_recursive(rest, last, _X, n_qubits),
-        _mcu_recursive(rest, target, v, n_qubits),
-    ):
-        gates.extend(piece.gates)
-        phase += piece.global_phase
-    return cir.Circuit(n_qubits, tuple(gates), phase)
-
-
-def lower_mcu(controls, polarities, target, u, n_qubits):
-    """Multi-controlled U over {rotations, CNOT, Toffoli}.
-
-    Negative-polarity controls are conjugated with X at the fragment
-    boundaries so the recursion itself is polarity-free.
-    """
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u, what="multi-controlled 2x2 block")
-    controls = tuple(controls)
-    flips = [q for q, p in zip(controls, polarities) if p == 0]
-    pre = tuple(cir.x(q) for q in flips)
-    core = _mcu_recursive(controls, target, u, n_qubits)
-    return cir.Circuit(n_qubits, pre + core.gates + pre, core.global_phase)
+    # The C^(m-1) X onto ``last`` appears twice; lower it once.
+    mcx = []
+    mcx_phase = _mcu_recursive(mcx, rest, last, _X, n_qubits)
+    phase = _lower_cu(gates, last, target, v)
+    gates.extend(mcx)
+    phase += mcx_phase
+    phase += _lower_cu(gates, last, target, v.conj().T)
+    gates.extend(mcx)
+    phase += mcx_phase
+    phase += _mcu_recursive(gates, rest, target, v, n_qubits)
+    return phase
 
 
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    Each goes through ``lower_mcu`` as its ``controlled_block``, so the output
-    holds single-qubit gates, CNOT, CZ, CCZ and Toffolis (``Gate.is_toffoli``);
-    a one-qubit DIAG_PHASE becomes one PHASE.
+    Each is checked once for unitarity and goes through the Barenco
+    recursion as its ``controlled_block``, |0> controls conjugated with X,
+    so the output holds single-qubit gates, CNOT, CZ, CCZ and Toffolis
+    (``Gate.is_toffoli``); a one-qubit DIAG_PHASE becomes one PHASE.
     """
     gates = []
     phase = c.global_phase
@@ -166,9 +135,13 @@ def lower_circuit(c):
             gates.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
             phase += 0.0 if on_one else gamma
         elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
-            frag = lower_mcu(*cir.controlled_block(g), c.n_qubits)
-            gates.extend(frag.gates)
-            phase += frag.global_phase
+            controls, polarities, target, u = cir.controlled_block(g)
+            u = np.asarray(u, dtype=complex)
+            check_unitary(u, what="multi-controlled 2x2 block")
+            flips = [cir.x(q) for q, p in zip(controls, polarities) if p == 0]
+            gates.extend(flips)
+            phase += _mcu_recursive(gates, controls, target, u, c.n_qubits)
+            gates.extend(flips)
         else:
             gates.append(g)
     return cir.Circuit(c.n_qubits, tuple(gates), phase)

@@ -117,11 +117,16 @@ def _load_matrix(path):
 
 
 def _haar_matrix(spec, seed, max_qubits):
-    """Sample the unitary named by the specifier ``haar:<n>``."""
+    """Sample the unitary named by the specifier ``haar:<n>``, n >= 1."""
+    if seed < 0:
+        print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
     try:
         n = int(spec.split(":", 1)[1])
+        if n < 1:
+            raise ValueError(n)
     except ValueError:
-        print(f"error: bad matrix specifier {spec!r}; expected haar:<n>", file=sys.stderr)
+        print(f"error: bad matrix specifier {spec!r}; expected haar:<n>, n >= 1", file=sys.stderr)
         raise SystemExit(EXIT_BAD_MATRIX)
     return random_unitary(n, seed, max_qubits)
 

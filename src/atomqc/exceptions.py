@@ -45,10 +45,6 @@ class LengthNotPowerOfTwo(AtomqcError):
     pass
 
 
-class InsufficientIdleQubits(AtomqcError):
-    pass
-
-
 class SynthesisFailure(AtomqcError):
     """Two-pulse synthesis could not reproduce its input; indicates a bug."""
 

@@ -386,7 +386,7 @@ def parse_sequence(text):
     """Parse a SEQUENCE v1 file back into a Circuit (inverse of emit)."""
     gates = []
     n_qubits = None
-    phase = 0.0
+    phase = None
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,6 +411,8 @@ def parse_sequence(text):
         if n_qubits is None:
             raise SequenceSyntaxError("QUBITS line must precede instructions", lineno)
         if mnemonic == "PHASE":
+            if phase is not None:
+                raise SequenceSyntaxError("PHASE appears more than once", lineno)
             _, (phase,) = _seq_fields(line, lineno, "PHASE", 0, 1)
         elif mnemonic == "C":
             (q,), (theta, phi) = _seq_fields(line, lineno, "C", 1, 2)
@@ -430,7 +432,7 @@ def parse_sequence(text):
         raise SequenceSyntaxError("empty input: missing SEQUENCE header", 1)
     if n_qubits is None:
         raise SequenceSyntaxError("missing QUBITS line", 1)
-    return cir.Circuit(n_qubits, tuple(gates), phase)
+    return cir.Circuit(n_qubits, tuple(gates), 0.0 if phase is None else phase)
 
 
 def _check_seq_qubits(qs, n_qubits, lineno):

@@ -100,9 +100,7 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
         if np.max(np.abs(block - np.eye(block.shape[0]))) < _IDENTITY_EPS:
             return
         if len(qubits) == 1:
-            frag = lower_1q(qubits[0], block, n)
-            gates.extend(frag.gates)
-            phase += frag.global_phase
+            phase += lower_1q(gates, qubits[0], block)
             return
         csd = cs_decompose(block)
         select = qubits[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import c_matrix
 from .exceptions import NotUnitary, SynthesisFailure
-from .linalg import TOL_UNITARY, TOL_ZERO, check_unitary, unitarity_defect, wrap_angle
+from .linalg import TOL_UNITARY, TOL_ZERO, unitarity_defect, wrap_angle
 
 __all__ = [
     "TOL_RECON",
@@ -38,8 +38,6 @@ __all__ = [
 
 # Quaternion distance within which composed pulses must reproduce a run.
 TOL_RECON = 1e-8
-# |cos beta| below which a rotation axis counts as equatorial (one pulse).
-_EQUATOR_EPS = 1e-9
 
 
 def _pick(cond, a, b):
@@ -70,8 +68,8 @@ class ZyAngles:
 
 
 def zy_decompose(u):
+    """ZY angles of the 2x2 unitary ``u``; callers check its unitarity."""
     u = np.asarray(u, dtype=complex)
-    check_unitary(u, what="2x2 input")
     alpha = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
     su = u * np.exp(-1j * alpha)
     gamma = 2.0 * np.arctan2(abs(su[1, 0]), abs(su[0, 0]))
@@ -303,20 +301,20 @@ def synthesize_runs(us, tol=TOL_RECON):
     Returns ``(counts, pulses)``: ``counts[i]`` is 0, 1 or 2, and ``pulses``
     is a ``TwoPulse`` of length-m arrays with
     ``e^{i gamma} C(theta2, phi2) C(theta1, phi1) = us[i]``, where the
-    pulses beyond ``counts[i]`` have theta = phi = 0.  A rotation by less
-    than ``tol`` (modulo 2 pi) is the identity and emits nothing;
-    a rotation whose axis lies on the equator is one pulse of duration
-    alpha; every other rotation is the equal-theta pulse pair.  Every run
+    pulses beyond ``counts[i]`` have theta = phi = 0.  A rotation by at most
+    ``TOL_ZERO`` emits nothing, one about an axis within ``TOL_ZERO`` of the
+    equator is one pulse, and every other rotation the equal-theta pair.  Every run
     passes the unitarity and the acceptance check; a miss raises
     ``NotUnitary`` or ``SynthesisFailure`` whose ``row`` is the first
     failing run.
     """
     q, gamma = quaternion_from_unitary(us)
     aa = to_axis_angle(q)
-    identity = (aa.alpha <= tol) | (2 * np.pi - aa.alpha <= tol)
-    # One pulse misses q by about sin(alpha/2) |cos beta|, so the axis
-    # must also lie within tol / 2 of the equator to pass the check.
-    one = ~identity & (np.abs(np.cos(aa.beta)) < min(_EQUATOR_EPS, tol / 2.0))
+    # A dropped rotation misses q by alpha / 2, one pulse by about
+    # sin(alpha/2) |cos beta|: both rules stay far below tol.
+    zero = min(TOL_ZERO, tol)
+    identity = (aa.alpha <= zero) | (2 * np.pi - aa.alpha <= zero)
+    one = ~identity & (np.abs(np.cos(aa.beta)) < min(TOL_ZERO, tol / 2.0))
     counts = np.select([identity, one], [0, 1], 2)
     (theta, phi1), (_, phi2) = _equal_pulses(aa)
     theta1 = np.select([identity, one], [0.0, aa.alpha], theta)

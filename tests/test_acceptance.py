@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
-from atomqc.barenco import lower_mcu, lower_mcx_ladder
+from atomqc.barenco import lower_circuit
 from atomqc.exceptions import (
     AtomqcError,
     MatrixFormatError,
@@ -201,7 +201,7 @@ def test_criterion_7_barenco_fragments():
     for m, n in cases:
         u = haar_unitary(2, rng)
         controls = tuple(range(m))
-        frag = lower_mcu(controls, (1,) * m, m, u, n)
+        frag = lower_circuit(cir.Circuit(n, (cir.mcu(controls, m, u),)))
         expect = gate_matrix(cir.mcu(controls, m, u), n)
         assert phase_distance(circuit_unitary(frag), expect) < 1e-8
 
@@ -212,8 +212,8 @@ def test_criterion_7_ladder_idle_invariance():
     # The ladder needs m - 2 borrowable qubits, so m = 4 requires width 7.
     for m, n in [(3, 5), (4, 7)]:
         controls = tuple(range(m))
-        idle = tuple(range(m + 1, n))
-        frag = lower_mcx_ladder(controls, m, idle, n)
+        # lower_circuit borrows the idle qubits m + 1 .. n - 1.
+        frag = lower_circuit(cir.Circuit(n, (cir.mcx(controls, m),)))
         expect = gate_matrix(cir.mcx(controls, m), n)
         assert np.max(np.abs(circuit_unitary(frag) - expect)) < 1e-12
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
-from atomqc.barenco import (
-    lower_1q,
-    lower_circuit,
-    lower_cu,
-    lower_mcu,
-    lower_mcx_ladder,
-)
-from atomqc.exceptions import InsufficientIdleQubits
+from atomqc.barenco import lower_1q, lower_circuit
 from atomqc.formats import render_qasm
 from atomqc.linalg import haar_unitary, phase_distance
 from atomqc.quaternion import zy_decompose
@@ -23,23 +16,33 @@ RNG = np.random.default_rng(4321)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def _lowered_1q(u):
+    gates = []
+    phase = lower_1q(gates, 0, u)
+    return cir.Circuit(1, tuple(gates), phase)
+
+
+def _lowered(n, g):
+    return lower_circuit(cir.Circuit(n, (g,)))
+
+
 def test_zy_decompose_reconstructs_exactly():
     for _ in range(200):
         u = haar_unitary(2, RNG)
-        assert np.max(np.abs(circuit_unitary(lower_1q(0, u, 1)) - u)) < 1e-12
+        assert np.max(np.abs(circuit_unitary(_lowered_1q(u)) - u)) < 1e-12
         assert 0 <= zy_decompose(u).gamma <= np.pi + 1e-12
 
 
 def test_zy_decompose_degenerate_branches():
     for u in (np.eye(2, dtype=complex), X, 1j * X, np.diag([1.0, 1j])):
-        assert np.max(np.abs(circuit_unitary(lower_1q(0, u, 1)) - u)) < 1e-12
+        assert np.max(np.abs(circuit_unitary(_lowered_1q(u)) - u)) < 1e-12
 
 
 def test_abc_identity_and_conjugation():
-    # lower_cu is the ABC construction: A B C = I acts on control |0>, and
-    # e^{i alpha} A X B X C = u on control |1>, with exactly two CNOTs.
+    # One control is the ABC construction: A B C = I acts on control |0>,
+    # and e^{i alpha} A X B X C = u on control |1>, with exactly two CNOTs.
     u = haar_unitary(2, RNG)
-    frag = lower_cu(0, 1, u, 2)
+    frag = _lowered(2, cir.mcu((0,), 1, u))
     assert [g.kind for g in frag.gates].count("CNOT") == 2
     m = circuit_unitary(frag)
     assert np.max(np.abs(m[:2, :2] - np.eye(2))) < 1e-12
@@ -50,7 +53,7 @@ def test_abc_identity_and_conjugation():
 def test_lower_1q_exact():
     for _ in range(50):
         u = haar_unitary(2, RNG)
-        frag = lower_1q(0, u, 1)
+        frag = _lowered_1q(u)
         assert np.max(np.abs(circuit_unitary(frag) - u)) < 1e-12
         assert all(g.kind in ("RY", "RZ") for g in frag.gates)
 
@@ -58,14 +61,14 @@ def test_lower_1q_exact():
 def test_lower_cu_exact():
     for _ in range(50):
         u = haar_unitary(2, RNG)
-        frag = lower_cu(0, 1, u, 2)
+        frag = _lowered(2, cir.mcu((0,), 1, u))
         target = gate_matrix(cir.mcu((0,), 1, u), 2)
         assert np.max(np.abs(circuit_unitary(frag) - target)) < 1e-12
         assert all(g.kind in ("RY", "RZ", "CNOT") for g in frag.gates)
 
 
 def test_lower_cu_identity_is_empty():
-    assert len(lower_cu(0, 1, np.eye(2, dtype=complex), 2).gates) == 0
+    assert len(_lowered(2, cir.mcu((0,), 1, np.eye(2, dtype=complex))).gates) == 0
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -73,8 +76,7 @@ def test_ladder_matches_mcx(m):
     n = m + 1 + (m - 2)  # controls + target + borrows
     controls = tuple(range(m))
     target = m
-    idle = tuple(range(m + 1, n))
-    frag = lower_mcx_ladder(controls, target, idle, n)
+    frag = _lowered(n, cir.mcx(controls, target))
     toffolis = [g for g in frag.gates if g.kind == "MCX"]
     assert len(toffolis) == 4 * (m - 2)
     expect = gate_matrix(cir.mcx(controls, target), n)
@@ -85,28 +87,23 @@ def test_ladder_borrow_qubits_arbitrary_state():
     # The compute-uncompute symmetry must restore borrows exactly, so the
     # fragment equals C^m X tensored with identity on the borrows; checking
     # the full matrix covers every borrow basis state.
-    frag = lower_mcx_ladder((0, 1, 2), 3, (4,), 5)
+    frag = _lowered(5, cir.mcx((0, 1, 2), 3))
     expect = gate_matrix(cir.mcx((0, 1, 2), 3), 5)
     assert np.max(np.abs(circuit_unitary(frag) - expect)) < 1e-12
-
-
-def test_ladder_requires_idle():
-    with pytest.raises(InsufficientIdleQubits):
-        lower_mcx_ladder((0, 1, 2, 3), 4, (), 5)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6)])
 def test_lower_mcu_haar(m, n):
     u = haar_unitary(2, RNG)
     controls = tuple(range(m))
-    frag = lower_mcu(controls, (1,) * m, m, u, n)
+    frag = _lowered(n, cir.mcu(controls, m, u))
     expect = gate_matrix(cir.mcu(controls, m, u), n)
     assert phase_distance(circuit_unitary(frag), expect) < 1e-8
 
 
 def test_lower_mcu_negative_polarity():
     u = haar_unitary(2, RNG)
-    frag = lower_mcu((0, 1), (0, 1), 2, u, 3)
+    frag = _lowered(3, cir.mcu((0, 1), 2, u, (0, 1)))
     expect = gate_matrix(cir.mcu((0, 1), 2, u, (0, 1)), 3)
     assert phase_distance(circuit_unitary(frag), expect) < 1e-10
 
@@ -115,7 +112,7 @@ def test_lower_mcu_recursion_fallback():
     # Five controls on six qubits: the inner C^4 X has one idle qubit, too
     # few for the ladder's two borrows, so it recurses through square roots.
     u = haar_unitary(2, RNG)
-    frag = lower_mcu((0, 1, 2, 3, 4), (1,) * 5, 5, u, 6)
+    frag = _lowered(6, cir.mcu((0, 1, 2, 3, 4), 5, u))
     expect = gate_matrix(cir.mcu((0, 1, 2, 3, 4), 5, u), 6)
     assert phase_distance(circuit_unitary(frag), expect) < 1e-8
 

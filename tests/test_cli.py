@@ -277,6 +277,10 @@ def test_help_exits_zero(capsys, argv):
          "angle must be finite, got inf (line 3, col 7)"),
         (["retarget", "{tmp}/repeat.qasm"], {}, EXIT_PARSE,
          "repeat.qasm: cx repeats a qubit operand (line 3, col 9)"),
+        (["compile", "haar:0"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar:-1"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar:2", "--seed", "-1"], {}, EXIT_IO,
+         "error: --seed must be non-negative, got -1"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):

@@ -8,8 +8,9 @@ aims at them: +-I, permutations, diagonals, Kronecker products,
 controlled-U, the QFT, multi-controlled X (X, CNOT, Toffoli, C^3 X),
 exp(i eps H) for eps from 1e-15 to 1e-9, and matrices whose unitarity
 defect is just under ``TOL_UNITARY``.  Each input, on n <= 4 qubits, must
-compile through QRD and QSD to a verified circuit, retarget to a verified
-{C, CZ, CCZ} circuit, and keep the QSD CNOT count within the law.
+compile through QRD and QSD to a verified circuit, retarget to a
+{C, CZ, CCZ} circuit within ``RETARGET_TOL`` of the input (README's
+promise), and keep the QSD CNOT count within the law.
 """
 
 from functools import reduce
@@ -29,6 +30,8 @@ from atomqc.simulate import verify
 
 PI = np.pi
 NATIVE = {"C", "CZ", "CCZ"}
+# Phase-invariant distance within which a retargeted circuit matches its input.
+RETARGET_TOL = 1e-9
 
 qubits = st.integers(1, 4)
 seeds = st.integers(0, 2**32 - 1)
@@ -120,6 +123,8 @@ def test_structured_input_compiles_exactly(family, data):
         assert verify(c, u).passed, compiler.__name__
         native = retarget_circuit(c)
         assert {g.kind for g in native.gates} <= NATIVE
-        assert verify(native, u).passed, compiler.__name__
+        report = verify(native, u)
+        assert report.passed, compiler.__name__
+        assert report.distance < RETARGET_TOL, compiler.__name__
         if compiler is qsd_compile:
             assert cir.gate_counts(c).get("CNOT") <= _qsd_law(n)

@@ -325,6 +325,10 @@ def test_sequence_error_reports_line():
     with pytest.raises(SequenceSyntaxError) as info:
         parse_sequence("SEQUENCE 1\nQUBITS 1\nC 0 0.5 0.1\nC 0 -inf 0.1\n")
     assert info.value.line == 4
+    # A second PHASE would silently replace the first.
+    with pytest.raises(SequenceSyntaxError, match="PHASE appears more than once") as info:
+        parse_sequence("SEQUENCE 1\nQUBITS 1\nPHASE 1.0\nC 0 1 0.5\nPHASE 2.0\n")
+    assert info.value.line == 5
 
 
 # ---------------------------------------------------------------------------

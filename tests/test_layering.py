@@ -2,7 +2,8 @@
 
 The IR, the compilers and the stages below the simulator must not import the
 simulator or the CLI, the text formats must not import a compiler, no module
-calls ``np.moveaxis``, and no module may pull in ``scipy.optimize`` (slow to
+calls ``np.moveaxis``, Barenco lowering builds its one ``Circuit`` and checks
+unitarity only in ``lower_circuit``, and no module may pull in ``scipy.optimize`` (slow to
 import, and the compiler has no use for a numeric solver).  No module reaches for another module's ``_``-prefixed
 names.  No module or test imports a name it never uses; the package
 ``__init__`` only re-exports, so it is exempt.  Every small float threshold
@@ -51,6 +52,19 @@ def test_no_module_calls_moveaxis():
         if isinstance(node, ast.Attribute) and node.attr == "moveaxis"
     ]
     assert not calls
+
+
+def test_barenco_builds_and_checks_only_in_lower_circuit():
+    # Each construction appends to the caller's gate list, so one Circuit is
+    # built and each block's unitarity is checked once, at lower_circuit.
+    calls = {}
+    for fn in ast.parse((SRC / "barenco.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("Circuit", "check_unitary"):
+                    calls.setdefault(name, []).append(getattr(fn, "name", None))
+    assert calls == {"Circuit": ["lower_circuit"], "check_unitary": ["lower_circuit"]}
 
 
 def test_formats_imports_no_compiler():

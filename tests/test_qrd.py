@@ -8,6 +8,7 @@ from atomqc.circuit import row_pairs
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.qrd import gcb_code, qrd_compile
+from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
 
 RNG = np.random.default_rng(55)
@@ -85,6 +86,30 @@ def test_control_elimination_reduces_count():
     full = cir.gate_counts(qrd_compile(u, drop_controls=False)).entangling_total
     reduced = cir.gate_counts(qrd_compile(u, drop_controls=True)).entangling_total
     assert reduced < full
+
+
+@pytest.mark.parametrize(
+    "n,counts",
+    [
+        (2, (7, 36, 10, 38, 28)),
+        (3, (29, 351, 116, 415, 299)),
+        (4, (121, 2185, 754, 2620, 1866)),
+        (5, (497, 11692, 4298, 14669, 10371)),
+    ],
+)
+def test_gate_counts_pinned(n, counts):
+    # Unlowered gates, lowered gates, lowered entangling gates, native gates
+    # and C pulses: a rewrite of lowering or retarget must keep all five.
+    u = random_unitary(n, seed=0)
+    lowered = qrd_compile(u)
+    native = retarget_circuit(lowered)
+    assert (
+        len(qrd_compile(u, lower=False).gates),
+        len(lowered.gates),
+        cir.gate_counts(lowered).entangling_total,
+        len(native.gates),
+        cir.gate_counts(native).get("C"),
+    ) == counts
 
 
 def test_lowered_gate_kinds():

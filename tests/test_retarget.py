@@ -116,25 +116,51 @@ def test_unsupported_gate_rejected():
         retarget_circuit(c)
 
 
+def _near_equator(cos_b):
+    """Rotation by 1 rad about an axis with cos(beta) = ``cos_b``."""
+    sin_b = np.sqrt(1.0 - cos_b**2)
+    n_sigma = np.array(
+        [[cos_b, sin_b * np.exp(-0.3j)], [sin_b * np.exp(0.3j), -cos_b]]
+    )
+    return np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * n_sigma
+
+
+def _pulse_miss(u, tol=TOL_RECON):
+    """Pulse count of ``u`` and how far its pulses and phase land from it."""
+    pulses, gamma = synthesize_run(u, tol)
+    recon = np.exp(1j * gamma) * np.eye(2)
+    for theta, phi in pulses:
+        recon = cir.c_matrix(theta, phi) @ recon
+    return len(pulses), np.max(np.abs(recon - u))
+
+
 def test_synthesize_run_counts():
     pulses, _ = synthesize_run(np.eye(2, dtype=complex))
     assert pulses == ()
     # An axis 5e-10 off the equator: one pulse would miss q by ~2.4e-10,
     # more than a tol of 1e-10, so this run needs the pulse pair.
-    cos_b, sin_b = 5e-10, np.sqrt(1.0 - 5e-10**2)
-    n_sigma = np.array(
-        [[cos_b, sin_b * np.exp(-0.3j)], [sin_b * np.exp(0.3j), -cos_b]]
-    )
-    near_equator = np.cos(0.5) * np.eye(2) - 1j * np.sin(0.5) * n_sigma
     cases = [(haar_unitary(2, RNG), TOL_RECON) for _ in range(50)]
-    cases.append((near_equator, 1e-10))
+    cases.append((_near_equator(5e-10), 1e-10))
     for u, tol in cases:
-        pulses, gamma = synthesize_run(u, tol)
-        assert len(pulses) <= 2
-        recon = np.exp(1j * gamma) * np.eye(2)
-        for theta, phi in pulses:
-            recon = cir.c_matrix(theta, phi) @ recon
-        assert np.max(np.abs(recon - u)) < 1e-9
+        count, miss = _pulse_miss(u, tol)
+        assert count <= 2
+        assert miss < 1e-9
+
+
+def test_near_equator_axis_takes_exact_pulse_pair():
+    # At the default tol one pulse would miss this run by ~2.4e-10; only an
+    # axis within TOL_ZERO of the equator takes the one-pulse shortcut.
+    count, miss = _pulse_miss(_near_equator(5e-10))
+    assert count == 2
+    assert miss < 1e-12
+
+
+def test_tiny_rotation_is_kept():
+    # A 1e-8 rotation is below tol but far above TOL_ZERO: dropping it would
+    # leave the retargeted circuit 7e-9 away, outside the promised 1e-9.
+    u = np.diag([1.0, np.exp(1e-8j)])
+    after = retarget_circuit(cir.Circuit(1, (cir.u1q(u, 0),)))
+    assert phase_distance(circuit_unitary(after), u) < 1e-9
 
 
 def _run_pulses(u, q):
