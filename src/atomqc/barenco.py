@@ -8,9 +8,10 @@ and returns their global phase; ``lower_circuit`` builds the one ``Circuit``.
 """
 
 import numpy as np
+import scipy.linalg
 
 from . import circuit as cir
-from .linalg import TOL_ZERO, check_unitary, unitary_sqrt
+from .linalg import TOL_ZERO, check_unitary
 from .quaternion import zy_decompose
 
 _X = cir.gate_local_matrix(cir.x(0))
@@ -30,6 +31,13 @@ def _rot_gates(gates, q, *axis_angle_pairs):
         phase += np.pi * round((angle - gate.params[0]) / (2 * np.pi))
         gates.append(gate)
     return phase
+
+
+def _unitary_sqrt(u):
+    """Principal square root of a 2x2 unitary (eigenphases halved into (-pi/2, pi/2])."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    roots = np.exp(1j * np.angle(np.diagonal(t)) / 2.0)
+    return (z * roots) @ z.conj().T
 
 
 def lower_1q(gates, q, u):
@@ -102,7 +110,7 @@ def _mcu_recursive(gates, controls, target, u, n_qubits):
             return 0.0
     if m == 1:
         return _lower_cu(gates, controls[0], target, u)
-    v = unitary_sqrt(u)
+    v = _unitary_sqrt(u)
     last = controls[-1]
     rest = controls[:-1]
     # The C^(m-1) X onto ``last`` appears twice; lower it once.

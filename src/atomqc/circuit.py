@@ -46,7 +46,7 @@ class Gate:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
-            raise DuplicateQubit(f"{self.kind} on {self.qubits}")
+            raise DuplicateQubit(f"duplicate qubit in {self.kind} {self.qubits}")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):

@@ -105,15 +105,20 @@ def _write_text(path, text):
         raise SystemExit(EXIT_IO)
 
 
-def _load_matrix(path):
+def _parse_circuit(text):
+    """A SEQUENCE file if its first word says so, else OpenQASM."""
+    return (parse_sequence if text.split(None, 1)[:1] == ["SEQUENCE"] else parse_qasm)(text)
+
+
+def _parse_file(path, parse):
+    """``parse`` of the file at ``path``; a malformed matrix exits 2, a malformed circuit 4."""
     try:
-        return read_matrix(_read_text(path))
-    except NotUnitary as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_MATRIX)
-    except MatrixFormatError as exc:
+        return parse(_read_text(path))
+    except (MatrixFormatError, NotUnitary, QasmSyntaxError, SequenceSyntaxError,
+            UnsupportedGate) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_MATRIX)
+        bad_matrix = isinstance(exc, (MatrixFormatError, NotUnitary))
+        raise SystemExit(EXIT_BAD_MATRIX if bad_matrix else EXIT_PARSE)
 
 
 def _haar_matrix(spec, seed, max_qubits):
@@ -148,7 +153,7 @@ def cmd_compile(args):
     if args.matrix.startswith("haar:"):
         u = _haar_matrix(args.matrix, args.seed, max_qubits)
     else:
-        u = _load_matrix(args.matrix)
+        u = _parse_file(args.matrix, read_matrix)
     try:
         c, wall = _compile_one(u, args.method, args.retarget, tol, max_qubits)
     except (NotUnitary, NotPowerOfTwo) as exc:
@@ -167,12 +172,7 @@ def cmd_compile(args):
 
 def cmd_retarget(args):
     _positive("--tol", args.tol)
-    text = _read_text(args.qasm)
-    try:
-        c = parse_qasm(text)
-    except (QasmSyntaxError, UnsupportedGate) as exc:
-        print(f"error: {args.qasm}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    c = _parse_file(args.qasm, parse_qasm)
     start = time.perf_counter()
     try:
         r = retarget_circuit(c)
@@ -194,25 +194,13 @@ def cmd_retarget(args):
     return EXIT_OK
 
 
-def _parse_circuit_file(path):
-    text = _read_text(path)
-    head = text.lstrip().split(None, 1)
-    try:
-        if head and head[0] == "SEQUENCE":
-            return parse_sequence(text)
-        return parse_qasm(text)
-    except (QasmSyntaxError, SequenceSyntaxError, UnsupportedGate) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def cmd_verify(args):
     _positive("--tol", args.tol)
-    c = _parse_circuit_file(args.circuit)
+    c = _parse_file(args.circuit, _parse_circuit)
     if args.matrix.startswith("haar:"):
         print(f"error: verify needs a matrix file, got {args.matrix!r}", file=sys.stderr)
         return EXIT_BAD_MATRIX
-    u = _load_matrix(args.matrix)
+    u = _parse_file(args.matrix, read_matrix)
     try:
         report = verify(c, u, tol=args.tol)
     except DimMismatch as exc:

@@ -7,13 +7,16 @@ deterministic so outputs are diff- and golden-file-friendly.
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit as cir
 from .exceptions import (
+    DuplicateQubit,
     MatrixFormatError,
     QasmSyntaxError,
+    QubitOutOfRange,
     SequenceSyntaxError,
     UndeclaredRegister,
     UnsupportedGate,
@@ -48,20 +51,27 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_ONE_QUBIT_SIMPLE = {
-    "h": lambda q, a: cir.h(q),
-    "x": lambda q, a: cir.x(q),
-    "rx": lambda q, a: cir.rx(a[0], q),
-    "ry": lambda q, a: cir.ry(a[0], q),
-    "rz": lambda q, a: cir.rz(a[0], q),
-    "s": lambda q, a: cir.phase(math.pi / 2, q),
-    "sdg": lambda q, a: cir.phase(-math.pi / 2, q),
-    "t": lambda q, a: cir.phase(math.pi / 4, q),
-    "tdg": lambda q, a: cir.phase(-math.pi / 4, q),
-    "u1": lambda q, a: cir.phase(a[0], q),
+# name -> (parameter count, qubit count, builder(params, qubits)), after the
+# qelib1.inc arities; u1 becomes a PHASE gate and u2/u3/U an explicit matrix.
+_QASM_GATES = {
+    "h": (0, 1, lambda a, q: cir.h(*q)),
+    "x": (0, 1, lambda a, q: cir.x(*q)),
+    "rx": (1, 1, lambda a, q: cir.rx(*a, *q)),
+    "ry": (1, 1, lambda a, q: cir.ry(*a, *q)),
+    "rz": (1, 1, lambda a, q: cir.rz(*a, *q)),
+    "s": (0, 1, lambda a, q: cir.phase(math.pi / 2, *q)),
+    "sdg": (0, 1, lambda a, q: cir.phase(-math.pi / 2, *q)),
+    "t": (0, 1, lambda a, q: cir.phase(math.pi / 4, *q)),
+    "tdg": (0, 1, lambda a, q: cir.phase(-math.pi / 4, *q)),
+    "u1": (1, 1, lambda a, q: cir.phase(*a, *q)),
+    "u2": (2, 1, lambda a, q: cir.u1q(u3_matrix(math.pi / 2, *a), *q)),
+    "u3": (3, 1, lambda a, q: cir.u1q(u3_matrix(*a), *q)),
+    "U": (3, 1, lambda a, q: cir.u1q(u3_matrix(*a), *q)),
+    "cx": (0, 2, lambda a, q: cir.cnot(*q)),
+    "cz": (0, 2, lambda a, q: cir.cz(*q)),
+    "ccx": (0, 3, lambda a, q: cir.toffoli(*q)),
+    "ccz": (0, 3, lambda a, q: cir.ccz(*q)),
 }
-
-_PARAM_COUNT = {"rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3, "U": 3}
 
 
 def u3_matrix(theta, phi, lam):
@@ -75,14 +85,12 @@ def u3_matrix(theta, phi, lam):
     )
 
 
+@dataclass(slots=True)
 class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+    kind: str
+    text: str
+    line: int
+    col: int
 
 
 def _tokenize(text):
@@ -172,8 +180,8 @@ def _finite(value, tok):
     return value
 
 
-def _int_token(tok, what):
-    if tok.kind != "number" or not tok.text.isdigit():
+def _int_token(tok, what, least=0):
+    if tok.kind != "number" or not tok.text.isdigit() or int(tok.text) < least:
         raise QasmSyntaxError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
     return int(tok.text)
 
@@ -199,7 +207,6 @@ def parse_qasm(text):
         p.next(expect=";")
 
     def qubit_ref():
-        nonlocal n_qubits
         name = p.next()
         if name.kind != "name":
             raise QasmSyntaxError(f"expected register name, got {name.text!r}", name.line, name.col)
@@ -222,23 +229,18 @@ def parse_qasm(text):
             p.next()  # the string literal
             p.next(expect=";")
             continue
-        if tok.text == "qreg":
+        if tok.text in ("qreg", "creg"):
             name = p.next()
             p.next(expect="[")
-            size = _int_token(p.next(), "register size")
+            size = _int_token(p.next(), "positive register size", 1)
             p.next(expect="]")
             p.next(expect=";")
+            if tok.text == "creg":
+                continue
             if name.text in registers:
                 raise QasmSyntaxError(f"register {name.text!r} redeclared", name.line, name.col)
             registers[name.text] = (n_qubits, size)
             n_qubits += size
-            continue
-        if tok.text == "creg":
-            p.next()
-            p.next(expect="[")
-            p.next()
-            p.next(expect="]")
-            p.next(expect=";")
             continue
         if tok.text == "barrier":
             while p.peek() is not None and p.peek().text != ";":
@@ -260,11 +262,10 @@ def parse_qasm(text):
                     p.next()
                     args.append(p.expr())
             p.next(expect=")")
-        if gname in _PARAM_COUNT and len(args) != _PARAM_COUNT[gname]:
+        spec = _QASM_GATES.get(gname)
+        if spec is not None and len(args) != spec[0]:
             raise QasmSyntaxError(
-                f"{gname} takes {_PARAM_COUNT[gname]} parameter(s), got {len(args)}",
-                tok.line,
-                tok.col,
+                f"{gname} takes {spec[0]} parameter(s), got {len(args)}", tok.line, tok.col
             )
         qubits = [qubit_ref()]
         while p.peek() is not None and p.peek().text == ",":
@@ -275,24 +276,11 @@ def parse_qasm(text):
                 raise QasmSyntaxError(f"{gname} repeats a qubit operand", ref.line, ref.col)
         p.next(expect=";")
 
-        if gname in _ONE_QUBIT_SIMPLE and len(qubits) == 1:
-            gates.append(_ONE_QUBIT_SIMPLE[gname](qubits[0], args))
-        elif gname == "u2" and len(qubits) == 1:
-            gates.append(cir.u1q(u3_matrix(math.pi / 2, args[0], args[1]), qubits[0]))
-        elif gname in ("u3", "U") and len(qubits) == 1:
-            gates.append(cir.u1q(u3_matrix(*args), qubits[0]))
-        elif gname == "cx" and len(qubits) == 2:
-            gates.append(cir.cnot(qubits[0], qubits[1]))
-        elif gname == "cz" and len(qubits) == 2:
-            gates.append(cir.cz(qubits[0], qubits[1]))
-        elif gname == "ccx" and len(qubits) == 3:
-            gates.append(cir.toffoli(qubits[0], qubits[1], qubits[2]))
-        elif gname == "ccz" and len(qubits) == 3:
-            gates.append(cir.ccz(qubits[0], qubits[1], qubits[2]))
-        else:
+        if spec is None or len(qubits) != spec[1]:
             raise UnsupportedGate(
                 f"gate {gname!r} with {len(qubits)} qubit(s) is not supported (line {tok.line})"
             )
+        gates.append(spec[2](args, qubits))
 
     if n_qubits == 0:
         raise QasmSyntaxError("no qreg declared", 1)
@@ -301,6 +289,13 @@ def parse_qasm(text):
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+# Gate kind -> OpenQASM name; the one MCX written is the Toffoli, as ccx.
+_QASM_NAMES = {
+    "RX": "rx", "RY": "ry", "RZ": "rz", "H": "h", "X": "x", "PHASE": "u1", "U1": "u3",
+    "C": "u3", "CNOT": "cx", "CZ": "cz", "MCX": "ccx", "CCZ": "ccz",
+}
 
 
 def render_qasm(c):
@@ -314,30 +309,15 @@ def render_qasm(c):
     if abs(c.global_phase) > 0:
         lines.insert(0, f"// global phase: {_fmt(c.global_phase)}")
     for g in c.gates:
-        q = g.qubits
-        if g.kind in ("RX", "RY", "RZ"):
-            lines.append(f"{g.kind.lower()}({_fmt(g.params[0])}) q[{q[0]}];")
-        elif g.kind == "H":
-            lines.append(f"h q[{q[0]}];")
-        elif g.kind == "X":
-            lines.append(f"x q[{q[0]}];")
-        elif g.kind == "PHASE":
-            lines.append(f"u1({_fmt(g.params[0])}) q[{q[0]}];")
-        elif g.kind in ("U1", "C"):
-            zy = zy_decompose(cir.gate_local_matrix(g))
-            lines.append(
-                f"u3({_fmt(zy.gamma)},{_fmt(zy.beta)},{_fmt(zy.delta)}) q[{q[0]}];"
-            )
-        elif g.kind == "CNOT":
-            lines.append(f"cx q[{q[0]}],q[{q[1]}];")
-        elif g.kind == "CZ":
-            lines.append(f"cz q[{q[0]}],q[{q[1]}];")
-        elif g.is_toffoli:
-            lines.append(f"ccx q[{q[0]}],q[{q[1]}],q[{q[2]}];")
-        elif g.kind == "CCZ":
-            lines.append(f"ccz q[{q[0]}],q[{q[1]}],q[{q[2]}];")
-        else:
+        name = _QASM_NAMES.get(g.kind)
+        if name is None or (g.kind == "MCX" and not g.is_toffoli):
             raise UnsupportedGate(f"cannot render {g.kind} gate as OpenQASM; lower it first")
+        params = g.params
+        if g.kind in ("U1", "C"):
+            zy = zy_decompose(cir.gate_local_matrix(g))
+            params = (zy.gamma, zy.beta, zy.delta)
+        args = f"({','.join(map(_fmt, params))})" if params else ""
+        lines.append(f"{name}{args} " + ",".join([f"q[{q}]" for q in g.qubits]) + ";")
     return "\n".join(lines) + "\n"
 
 
@@ -382,6 +362,10 @@ def _seq_fields(raw, lineno, mnemonic, n_int, n_float):
     return ints, floats
 
 
+# Native instruction -> (qubit count, angle count).
+_SEQ_INSTRUCTIONS = {"C": (1, 2), "CZ": (2, 0), "CCZ": (3, 0)}
+
+
 def parse_sequence(text):
     """Parse a SEQUENCE v1 file back into a Circuit (inverse of emit)."""
     gates = []
@@ -414,18 +398,14 @@ def parse_sequence(text):
             if phase is not None:
                 raise SequenceSyntaxError("PHASE appears more than once", lineno)
             _, (phase,) = _seq_fields(line, lineno, "PHASE", 0, 1)
-        elif mnemonic == "C":
-            (q,), (theta, phi) = _seq_fields(line, lineno, "C", 1, 2)
-            _check_seq_qubits((q,), n_qubits, lineno)
-            gates.append(cir.Gate("C", (q,), (theta, phi)))
-        elif mnemonic == "CZ":
-            qs, _ = _seq_fields(line, lineno, "CZ", 2, 0)
-            _check_seq_qubits(qs, n_qubits, lineno)
-            gates.append(cir.cz(*qs))
-        elif mnemonic == "CCZ":
-            qs, _ = _seq_fields(line, lineno, "CCZ", 3, 0)
-            _check_seq_qubits(qs, n_qubits, lineno)
-            gates.append(cir.ccz(*qs))
+        elif mnemonic in _SEQ_INSTRUCTIONS:
+            qs, params = _seq_fields(line, lineno, mnemonic, *_SEQ_INSTRUCTIONS[mnemonic])
+            try:
+                gate = cir.Gate(mnemonic, tuple(qs), tuple(params))
+                cir.check_qubits(gate, n_qubits)
+            except (DuplicateQubit, QubitOutOfRange) as exc:
+                raise SequenceSyntaxError(str(exc), lineno) from exc
+            gates.append(gate)
         else:
             raise SequenceSyntaxError(f"unknown instruction {mnemonic!r}", lineno)
     if not saw_header:
@@ -433,14 +413,6 @@ def parse_sequence(text):
     if n_qubits is None:
         raise SequenceSyntaxError("missing QUBITS line", 1)
     return cir.Circuit(n_qubits, tuple(gates), 0.0 if phase is None else phase)
-
-
-def _check_seq_qubits(qs, n_qubits, lineno):
-    if len(set(qs)) != len(qs):
-        raise SequenceSyntaxError(f"duplicate qubit in {qs}", lineno)
-    for q in qs:
-        if not 0 <= q < n_qubits:
-            raise SequenceSyntaxError(f"qubit {q} outside width {n_qubits}", lineno)
 
 
 # ---------------------------------------------------------------------------

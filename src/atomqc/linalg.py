@@ -30,7 +30,6 @@ __all__ = [
     "check_unitary",
     "cs_decompose",
     "demultiplex",
-    "unitary_sqrt",
     "random_unitary",
     "phase_distance",
     "qubit_count",
@@ -153,15 +152,6 @@ def demultiplex(a, b):
     d = np.exp(1j * phases)
     w = np.diag(d) @ v.conj().T @ b
     return DemuxResult(v=v, w=w, d_phases=phases)
-
-
-def unitary_sqrt(u):
-    """Principal square root of a unitary (eigenphases halved into (-pi/2, pi/2])."""
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u)
-    t, z = scipy.linalg.schur(u, output="complex")
-    roots = np.exp(1j * np.angle(np.diagonal(t)) / 2.0)
-    return (z * roots) @ z.conj().T
 
 
 def haar_unitary(dim, rng):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
-from atomqc.barenco import lower_1q, lower_circuit
+from atomqc.barenco import _unitary_sqrt, lower_1q, lower_circuit
 from atomqc.formats import render_qasm
-from atomqc.linalg import haar_unitary, phase_distance
+from atomqc.linalg import haar_unitary, is_unitary, phase_distance
 from atomqc.quaternion import zy_decompose
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
@@ -166,3 +166,16 @@ def test_lower_circuit_mcx(controls, polarities, target, n, count):
     assert len(lowered.gates) == count
     assert all(h.kind == "CNOT" or h.is_toffoli for h in lowered.gates if len(h.qubits) > 1)
     assert np.max(np.abs(circuit_unitary(lowered) - gate_matrix(g, n))) < 1e-12
+
+
+def test_unitary_sqrt():
+    # Its own generator, so the draws of the tests above stay as they were.
+    u = haar_unitary(2, np.random.default_rng(1234))
+    v = _unitary_sqrt(u)
+    assert np.max(np.abs(v @ v - u)) < 1e-12
+    assert is_unitary(v, 1e-12)
+
+
+def test_unitary_sqrt_of_minus_identity():
+    v = _unitary_sqrt(-np.eye(2))
+    assert np.max(np.abs(v @ v + np.eye(2))) < 1e-12

@@ -281,6 +281,10 @@ def test_help_exits_zero(capsys, argv):
         (["compile", "haar:-1"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
         (["compile", "haar:2", "--seed", "-1"], {}, EXIT_IO,
          "error: --seed must be non-negative, got -1"),
+        (["retarget", "{tmp}/s_pi.qasm"], {}, EXIT_PARSE,
+         "s_pi.qasm: s takes 0 parameter(s), got 1 (line 3, col 1)"),
+        (["verify", "{tmp}/s_pi.qasm", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
+         "s_pi.qasm: s takes 0 parameter(s), got 1 (line 3, col 1)"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -291,6 +295,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     (tmp_path / "qubits_twice.seq").write_text("SEQUENCE 1\nQUBITS 3\nCZ 0 2\nQUBITS 2\n")
     (tmp_path / "overflow.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\nrx(1/(1e308*10)) q[0];\n")
     (tmp_path / "repeat.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n")
+    (tmp_path / "eye2.mat").write_text(write_matrix(np.eye(2)))
+    (tmp_path / "s_pi.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\ns(pi) q[0];\n")
     monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
+from atomqc import formats as fmt
 from atomqc.exceptions import (
     MatrixFormatError,
     NotUnitary,
@@ -188,6 +189,21 @@ def test_repeated_qubit_is_a_syntax_error(stmt, col):
     assert (info.value.line, info.value.col) == (2, col)
 
 
+@pytest.mark.parametrize("stmt", ["h(0.5) q[0];", "s(pi) q[0];", "cx(1) q[0],q[1];"])
+def test_parameter_count_checked_at_the_gate(stmt):
+    # Every gate name has its qelib1.inc arity: s(pi) is not an S gate.
+    with pytest.raises(QasmSyntaxError, match="takes 0 parameter") as info:
+        parse_qasm(f"qreg q[2];\n{stmt}\n")
+    assert (info.value.line, info.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize("decl,col", [("qreg r[0];", 8), ("creg c[x];", 8)])
+def test_register_size_must_be_positive(decl, col):
+    with pytest.raises(QasmSyntaxError, match="expected positive register size") as info:
+        parse_qasm(f"qreg q[1];\n{decl}\n")
+    assert (info.value.line, info.value.col) == (2, col)
+
+
 def test_tiny_angle_quotient_parses():
     c = parse_qasm("qreg q[1];\nrx(1e-320/1e-10) q[0];\n")
     assert c.gates[0].params[0] == 1e-320 / 1e-10
@@ -206,8 +222,9 @@ def test_no_qreg_rejected():
 
 
 def test_render_parse_round_trip_simple():
+    # Every kind render_qasm writes.
     c = cir.Circuit(
-        2,
+        3,
         (
             cir.h(0),
             cir.rx(0.3, 1),
@@ -215,10 +232,21 @@ def test_render_parse_round_trip_simple():
             cir.cnot(0, 1),
             cir.cz(1, 0),
             cir.x(1),
+            cir.ry(-0.7, 2),
+            cir.rz(2.1, 0),
+            cir.u1q(haar_unitary(2, np.random.default_rng(5)), 1),
+            cir.c_gate(0.4, 1.9, 2),
+            cir.toffoli(2, 0, 1),
+            cir.ccz(1, 2, 0),
         ),
     )
+    assert {g.kind for g in c.gates} == set(fmt._QASM_NAMES)
     back = parse_qasm(render_qasm(c))
-    assert np.max(np.abs(circuit_unitary(back) - circuit_unitary(c))) < 1e-12
+    assert phase_distance(circuit_unitary(back), circuit_unitary(c)) < 1e-12
+    # u3 fixes the global phase of a U1 or C gate; every other kind is exact.
+    exact = cir.Circuit(3, tuple(g for g in c.gates if g.kind not in ("U1", "C")))
+    back = parse_qasm(render_qasm(exact))
+    assert np.max(np.abs(circuit_unitary(back) - circuit_unitary(exact))) < 1e-12
 
 
 def test_render_u1_as_u3():

@@ -19,7 +19,6 @@ from atomqc.linalg import (
     is_unitary,
     phase_distance,
     random_unitary,
-    unitary_sqrt,
     wrap_angle,
 )
 from atomqc.qrd import _givens_block
@@ -107,19 +106,6 @@ def test_demultiplex_degenerate_pair():
 def test_demultiplex_shape_mismatch():
     with pytest.raises(DimMismatch):
         demultiplex(np.eye(2), np.eye(4))
-
-
-@pytest.mark.parametrize("dim", [2, 4, 8])
-def test_unitary_sqrt(dim):
-    u = haar_unitary(dim, RNG)
-    v = unitary_sqrt(u)
-    assert np.max(np.abs(v @ v - u)) < 1e-12
-    assert is_unitary(v, 1e-12)
-
-
-def test_unitary_sqrt_of_minus_identity():
-    v = unitary_sqrt(-np.eye(2))
-    assert np.max(np.abs(v @ v + np.eye(2))) < 1e-12
 
 
 def test_random_unitary_deterministic():
