@@ -14,8 +14,6 @@ from . import circuit as cir
 from .linalg import TOL_ZERO, check_unitary
 from .quaternion import zy_decompose
 
-_X = cir.gate_local_matrix(cir.x(0))
-
 
 def _rot_gates(gates, q, *axis_angle_pairs):
     """Append rotation gates in time order; return the phase that keeps them exact.
@@ -97,7 +95,7 @@ def _mcu_recursive(gates, controls, target, u, n_qubits):
     m = len(controls)
     if m == 0:
         return lower_1q(gates, target, u)
-    if np.array_equal(u, _X):
+    if np.array_equal(u, cir.PAULI_X):
         if m == 1:
             gates.append(cir.cnot(controls[0], target))
             return 0.0
@@ -115,7 +113,7 @@ def _mcu_recursive(gates, controls, target, u, n_qubits):
     rest = controls[:-1]
     # The C^(m-1) X onto ``last`` appears twice; lower it once.
     mcx = []
-    mcx_phase = _mcu_recursive(mcx, rest, last, _X, n_qubits)
+    mcx_phase = _mcu_recursive(mcx, rest, last, cir.PAULI_X, n_qubits)
     phase = _lower_cu(gates, last, target, v)
     gates.extend(mcx)
     phase += mcx_phase

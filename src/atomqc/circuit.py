@@ -13,7 +13,7 @@ Gates and circuits are immutable value types.
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -161,45 +161,86 @@ def diag_phase(qubits, pattern, gamma):
     return Gate("DIAG_PHASE", tuple(qubits), (wrap_angle(gamma),), polarities=tuple(pattern))
 
 
-_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.diag([1.0, -1.0])
+def _constant(m):
+    m = np.asarray(m, dtype=complex)
+    m.flags.writeable = False
+    return m
 
 
+# The fixed 2x2 blocks, complex and read-only, shared by every module.
+HADAMARD = _constant(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+PAULI_X = _constant([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Z = _constant(np.diag([1.0, -1.0]))
+
+
+def _pack(m00, m01, m10, m11):
+    """One complex ``(..., 2, 2)`` array from four entries that broadcast together."""
+    m = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = m00, m01, m10, m11
+    return m
+
+
+# The angle functions below take floats or arrays of them; an array of
+# angles gives a stack of 2x2s, entry for entry the same as one at a time.
 def c_matrix(theta, phi):
     """The native single-qubit pulse gate C(theta, phi)."""
     ct, st = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [[ct, -np.exp(1j * phi) * st], [np.exp(-1j * phi) * st, ct]], dtype=complex
-    )
+    return _pack(ct, -np.exp(1j * phi) * st, np.exp(-1j * phi) * st, ct)
 
 
 def rotation_matrix(axis, theta):
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]])
+        return _pack(c, -1j * s, -1j * s, c)
     if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return _pack(c, -s, s, c)
     if axis == "Z":
-        return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
+        return _pack(np.exp(-1j * theta / 2), 0, 0, np.exp(1j * theta / 2))
     raise ValueError(f"unknown axis {axis!r}")
+
+
+def _phase_matrix(gamma):
+    return _pack(1.0, 0, 0, np.exp(1j * gamma))
+
+
+_ANGLE_MATRICES = {
+    "RX": partial(rotation_matrix, "X"),
+    "RY": partial(rotation_matrix, "Y"),
+    "RZ": partial(rotation_matrix, "Z"),
+    "C": c_matrix,
+    "PHASE": _phase_matrix,
+}
+_FIXED_MATRICES = {"H": HADAMARD, "X": PAULI_X}
+
+
+def local_matrices(gates):
+    """The 2x2 of every single-qubit gate in ``gates``, as one ``(len, 2, 2)`` array.
+
+    One array pass per kind: RX/RY/RZ/C/PHASE from their angle columns, H
+    and X as constants, U1 as carried, and a one-qubit DIAG_PHASE as its
+    ``controlled_block``.
+    """
+    out = np.empty((len(gates), 2, 2), dtype=complex)
+    by_kind = {}
+    for i, g in enumerate(gates):
+        by_kind.setdefault(g.kind, []).append(i)
+    for kind, idx in by_kind.items():
+        if kind in _ANGLE_MATRICES:
+            out[idx] = _ANGLE_MATRICES[kind](*np.array([gates[i].params for i in idx]).T)
+        elif kind in _FIXED_MATRICES:
+            out[idx] = _FIXED_MATRICES[kind]
+        elif kind == "U1":
+            out[idx] = [gates[i].matrix for i in idx]
+        elif kind == "DIAG_PHASE" and all(gates[i].is_single_qubit for i in idx):
+            out[idx] = [controlled_block(gates[i])[3] for i in idx]
+        else:
+            raise ValueError(f"{kind} has no single-qubit matrix; use controlled_block")
+    return out
 
 
 def gate_local_matrix(g):
     """The 2x2 matrix of a single-qubit kind; ``controlled_block`` covers every kind."""
-    if g.kind in ("RX", "RY", "RZ"):
-        return rotation_matrix(g.kind[1], g.params[0])
-    if g.kind == "H":
-        return _H.astype(complex)
-    if g.kind == "X":
-        return _X.astype(complex)
-    if g.kind == "C":
-        return c_matrix(*g.params)
-    if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(1j * g.params[0])])
-    if g.kind == "U1":
-        return np.asarray(g.matrix, dtype=complex)
-    raise ValueError(f"{g.kind} has no single-qubit matrix; use controlled_block")
+    return local_matrices((g,))[0]
 
 
 def controlled_block(g):
@@ -215,42 +256,130 @@ def controlled_block(g):
         block = np.diag([1.0, e]) if g.polarities[-1] else np.diag([e, 1.0])
         return controls, g.polarities[:-1], target, block
     if g.kind in ("MCU", "MCX"):
-        return controls, g.polarities, target, _X if g.kind == "MCX" else g.matrix
+        return controls, g.polarities, target, PAULI_X if g.kind == "MCX" else g.matrix
     if g.kind in ("CNOT", "CZ", "CCZ"):
-        return controls, (1,) * len(controls), target, _X if g.kind == "CNOT" else _Z
+        return controls, (1,) * len(controls), target, PAULI_X if g.kind == "CNOT" else PAULI_Z
     return (), (), target, gate_local_matrix(g)
 
 
 # A circuit has few distinct (controls, polarities, target) keys: at n = 6,
 # QRD's MCUs have at most 6 * 3^5 = 1458, and the simulator meets the same
-# keys gate after gate.  An entry holds 2^n indices: 32 KiB at 12 qubits.
+# keys gate after gate.  An entry is a few short tuples.
 @lru_cache(maxsize=2048)
-def row_pairs(controls, polarities, target, n_qubits):
-    """Basis-state index arrays ``(r0, r1)`` that a controlled block mixes.
+def block_index(controls, polarities, target, n_qubits):
+    """``(shape, i0, i1)`` locating the row pairs a controlled block mixes.
 
-    ``r0[k]`` and ``r1[k]`` match every control's polarity and differ only
-    in the target bit, which ``r0`` has clear; ``r0`` is ascending.  The
-    arguments are tuples and ints; the arrays are read-only, shared by
-    every call with the same arguments.
+    For any C-contiguous ``m`` with 2^n rows, ``m.reshape(shape)[i0]`` and
+    ``[i1]`` are views of those rows: each control reads its polarity and
+    the target bit is 0 in ``i0``, 1 in ``i1``.  Every touched qubit gets an
+    axis of two, the untouched qubits between two of them share one axis,
+    and the qubits after the last share the final axis with the columns, so
+    both views list their entries in ascending row order, pair by pair.  The
+    arguments are tuples and ints.
     """
-    tbit = 1 << (n_qubits - 1 - target)
-    mask, base = tbit, 0
-    for q, p in zip(controls, polarities):
-        bit = 1 << (n_qubits - 1 - q)
-        mask |= bit
-        base |= p * bit
-    rows = np.arange(2**n_qubits)
-    r0 = rows[(rows & mask) == base]
-    r1 = r0 | tbit
-    r0.flags.writeable = r1.flags.writeable = False
-    return r0, r1
+    bits = dict(zip(controls, polarities))
+    bits[target] = None
+    shape, i0, i1 = [], [], []
+    free = 0  # first qubit without an axis yet
+    for q in sorted(bits):
+        if q > free:
+            shape.append(2 ** (q - free))
+            i0.append(slice(None))
+            i1.append(slice(None))
+        p = bits[q]
+        shape.append(2)
+        i0.append(0 if p is None else p)
+        i1.append(1 if p is None else p)
+        free = q + 1
+    return tuple(shape) + (-1,), tuple(i0), tuple(i1)
 
 
-def mixed_rows(m, r0, r1, block):
-    """Rows ``r0`` and ``r1`` of ``m`` after ``block`` mixes each pair (r0[k], r1[k])."""
-    a = m[r0, :]
-    b = m[r1, :]
+def pair_views(m, controls, polarities, target, n_qubits):
+    """Views ``(a, b)`` of the rows of ``m`` a controlled block mixes (``block_index``).
+
+    Writing into them writes into ``m``, which must therefore be
+    C-contiguous.
+    """
+    if not m.flags.c_contiguous:
+        raise ValueError("pair_views needs a C-contiguous array")
+    shape, i0, i1 = block_index(controls, polarities, target, n_qubits)
+    v = m.reshape(shape)
+    return v[i0], v[i1]
+
+
+def mix(block, a, b):
+    """New rows ``(b00 a + b01 b, b10 a + b11 b)``: ``block`` applied to every pair."""
     return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
+
+
+def _fold(mats, run_of, n_runs):
+    """Product of each run's matrices, later ones on the left.
+
+    ``mats[j]`` belongs to run ``run_of[j]``, in gate order within each
+    run; one batched matmul per position in a run.
+    """
+    lengths = np.bincount(run_of, minlength=n_runs)
+    # Position of each matrix in its run: its place in run order less the
+    # place where its run starts.
+    depth = np.empty_like(run_of)
+    depth[np.argsort(run_of, kind="stable")] = np.arange(len(run_of)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    us = np.broadcast_to(np.eye(2, dtype=complex), (n_runs, 2, 2)).copy()
+    by_depth = np.argsort(depth, kind="stable")
+    for idx in np.split(by_depth, np.cumsum(np.bincount(depth))[:-1]):
+        r = run_of[idx]
+        us[r] = mats[idx] @ us[r]
+    return us
+
+
+# The Hadamard ``collect_runs`` puts around a conjugated gate; its matrix
+# does not depend on the qubit.
+_HADAMARD_GATE = h(0)
+
+
+def collect_runs(gates, conjugate=None):
+    """One pass over ``gates``: the slots in order, the runs and each run's fused 2x2.
+
+    A run is a qubit's maximal stretch of single-qubit gates.  Every run and
+    every multi-qubit gate takes one slot, in gate order: a gate's slot
+    holds the gate, a run's holds its index into ``runs``, at the place
+    where the run began.  That place is exact, as every gate up to the run's
+    end acts on other qubits.  A run is ``(qubit, index of the gate where it
+    began)``; ``us[r]`` is run r's product, later gates on the left, or
+    ``us`` is None when there is no run.
+
+    ``conjugate(g)``, if given, maps each multi-qubit gate to ``(gate,
+    qubit)``: ``gate`` takes the slot and, unless ``qubit`` is None, a
+    Hadamard on ``qubit`` before and after it joins that qubit's runs.  The
+    per-gate matrices are freed on return.
+    """
+    slots, ones, run_of, runs = [], [], [], []
+    open_runs = {}  # qubit -> index into runs of its open run
+
+    def join(q, g, i):
+        r = open_runs.get(q)
+        if r is None:
+            r = open_runs[q] = len(runs)
+            runs.append((q, i))
+            slots.append(r)
+        ones.append(g)
+        run_of.append(r)
+
+    for i, g in enumerate(gates):
+        if g.is_single_qubit:
+            join(g.qubits[0], g, i)
+            continue
+        g, q = conjugate(g) if conjugate else (g, None)
+        if q is not None:
+            join(q, _HADAMARD_GATE, i)
+        for p in g.qubits:
+            open_runs.pop(p, None)
+        slots.append(g)
+        if q is not None:
+            join(q, _HADAMARD_GATE, i)
+    us = _fold(local_matrices(ones), np.array(run_of), len(runs)) if runs else None
+    return slots, runs, us
 
 
 @dataclass(frozen=True)

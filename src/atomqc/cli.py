@@ -106,8 +106,10 @@ def _write_text(path, text):
 
 
 def _parse_circuit(text):
-    """A SEQUENCE file if its first word says so, else OpenQASM."""
-    return (parse_sequence if text.split(None, 1)[:1] == ["SEQUENCE"] else parse_qasm)(text)
+    """A SEQUENCE file if its first word outside ``#`` comments says so, else OpenQASM."""
+    words = (line.split("#", 1)[0].split(None, 1) for line in text.splitlines())
+    first = next((w[0] for w in words if w), None)
+    return (parse_sequence if first == "SEQUENCE" else parse_qasm)(text)
 
 
 def _parse_file(path, parse):

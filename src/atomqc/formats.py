@@ -206,10 +206,14 @@ def parse_qasm(text):
             raise QasmSyntaxError(f"unsupported version {version.text!r}", version.line, version.col)
         p.next(expect=";")
 
-    def qubit_ref():
+    def register_name():
         name = p.next()
         if name.kind != "name":
             raise QasmSyntaxError(f"expected register name, got {name.text!r}", name.line, name.col)
+        return name
+
+    def qubit_ref():
+        name = register_name()
         if name.text not in registers:
             raise UndeclaredRegister(f"register {name.text!r} not declared", name.line, name.col)
         p.next(expect="[")
@@ -230,7 +234,7 @@ def parse_qasm(text):
             p.next(expect=";")
             continue
         if tok.text in ("qreg", "creg"):
-            name = p.next()
+            name = register_name()
             p.next(expect="[")
             size = _int_token(p.next(), "positive register size", 1)
             p.next(expect="]")

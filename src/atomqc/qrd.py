@@ -72,9 +72,9 @@ def eliminate_controls(
     for q in sorted(controls):
         idx = controls.index(q)
         kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
-        r0, r1 = cir.row_pairs(*kept, target, n_qubits)
-        new = zip(cir.mixed_rows(matrix, r0, r1, block), (r0, r1))
-        bad = max(np.abs(rows[cleared_mask[r]]).max(initial=0.0) for rows, r in new)
+        rows = cir.mix(block, *cir.pair_views(matrix, *kept, target, n_qubits))
+        masks = cir.pair_views(cleared_mask, *kept, target, n_qubits)
+        bad = max(np.abs(r[mask]).max(initial=0.0) for r, mask in zip(rows, masks))
         if bad <= threshold:
             controls, polarities = kept
     return controls, polarities
@@ -108,8 +108,8 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     controls, pol = eliminate_controls(
                         controls, pol, target, block, cleared, m, n
                     )
-                r0, r1 = cir.row_pairs(controls, pol, target, n)
-                m[r0, :], m[r1, :] = cir.mixed_rows(m, r0, r1, block)
+                rows_a, rows_b = cir.pair_views(m, controls, pol, target, n)
+                rows_a[...], rows_b[...] = cir.mix(block, rows_a, rows_b)
                 emitted.append(cir.mcu(controls, target, block, pol))
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as cir
-from .exceptions import SizeTooLarge
+from .exceptions import DimMismatch, SizeTooLarge
 from .linalg import MAX_QUBITS, phase_distance
 
 # Phase-invariant Frobenius distance below which a circuit passes ``verify``.
@@ -17,11 +17,14 @@ VERIFY_TOL = 1e-7
 
 
 def apply_gate(u, g, n_qubits):
-    """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``, in place."""
+    """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``, in place.
+
+    The unfused reference: one general 2x2 mix per gate.
+    """
     cir.check_qubits(g, n_qubits)
     controls, polarities, target, block = cir.controlled_block(g)
-    r0, r1 = cir.row_pairs(controls, polarities, target, n_qubits)
-    u[r0], u[r1] = cir.mixed_rows(u, r0, r1, block)
+    a, b = cir.pair_views(u, controls, polarities, target, n_qubits)
+    a[...], b[...] = cir.mix(block, a, b)
     return u
 
 
@@ -30,14 +33,45 @@ def gate_matrix(g, n_qubits):
     return apply_gate(np.eye(2**n_qubits, dtype=complex), g, n_qubits)
 
 
+def apply_circuit(u, c):
+    """Left-multiply ``u`` (shape ``(2^n, m)``) by ``c``'s unitary, in place.
+
+    Each single-qubit run is applied once, as its fused 2x2, in the slot
+    ``cir.collect_runs`` gives it.  CZ and CCZ flip the sign of the rows
+    they select, an X block swaps its row pairs, and every other gate mixes
+    them.  ``e^{i global_phase}`` is applied last.  ``u`` must be
+    C-contiguous, so that every reshape is a view.
+    """
+    n = c.n_qubits
+    if u.shape[0] != 2**n:
+        raise DimMismatch(f"{u.shape[0]} rows for a {n}-qubit circuit")
+    if not u.flags.c_contiguous:
+        raise ValueError("apply_circuit needs a C-contiguous array")
+    slots, runs, us = cir.collect_runs(c.gates)
+    for s in slots:
+        if isinstance(s, int):
+            # One batched 2x2 matmul over the view (2^q, 2, rest): fewer
+            # array passes than the general mix, equal up to rounding.
+            v = u.reshape(cir.block_index((), (), runs[s][0], n)[0])
+            v[...] = us[s] @ v
+            continue
+        controls, polarities, target, block = cir.controlled_block(s)
+        a, b = cir.pair_views(u, controls, polarities, target, n)
+        if s.kind in ("CZ", "CCZ"):
+            np.negative(b, out=b)
+        elif s.kind in ("CNOT", "MCX"):
+            a[...], b[...] = b, a.copy()
+        else:
+            a[...], b[...] = cir.mix(block, a, b)
+    u *= np.exp(1j * c.global_phase)
+    return u
+
+
 def circuit_unitary(c):
     """Product of gate matrices in time order, times ``e^{i global_phase}``."""
     if c.n_qubits > MAX_QUBITS:
         raise SizeTooLarge(f"simulation capped at {MAX_QUBITS} qubits")
-    u = np.eye(2**c.n_qubits, dtype=complex)
-    for g in c.gates:
-        u = apply_gate(u, g, c.n_qubits)
-    return u * np.exp(1j * c.global_phase)
+    return apply_circuit(np.eye(2**c.n_qubits, dtype=complex), c)
 
 
 def cnot_lower_bound(n):

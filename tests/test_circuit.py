@@ -75,11 +75,17 @@ def test_gate_counts():
     assert counts.single_qubit_total == 2
 
 
-def test_row_pairs_shared_and_read_only():
-    r0, r1 = cir.row_pairs((0, 2), (1, 0), 1, 3)
-    assert r0.tolist() == [0b100] and r1.tolist() == [0b110]
-    # Calls share the cached arrays, which cannot be written.
-    again = cir.row_pairs((0, 2), (1, 0), 1, 3)
-    assert again[0] is r0 and again[1] is r1
+def test_block_index_shared_and_views():
+    index = cir.block_index((0, 2), (1, 0), 1, 3)
+    # Calls share the cached index tuples.
+    assert cir.block_index((0, 2), (1, 0), 1, 3) is index
+    a, b = cir.pair_views(np.arange(8), (0, 2), (1, 0), 1, 3)
+    assert a.ravel().tolist() == [0b100] and b.ravel().tolist() == [0b110]
+    # The rows are views: writing them writes the array, for any column count.
+    m = np.zeros((8, 3))
+    a, b = cir.pair_views(m, (0, 2), (1, 0), 1, 3)
+    a[...], b[...] = 1.0, 2.0
+    assert m[0b100].tolist() == [1.0] * 3 and m[0b110].tolist() == [2.0] * 3
+    assert np.count_nonzero(m) == 6
     with pytest.raises(ValueError):
-        r0[0] = 1
+        cir.pair_views(np.zeros((3, 8)).T, (0, 2), (1, 0), 1, 3)

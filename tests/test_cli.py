@@ -168,6 +168,16 @@ def test_verify_sequence_input(tmp_path, capsys):
     assert main(["verify", str(seq), str(path)]) == EXIT_OK
 
 
+def test_verify_sequence_with_leading_comment(tmp_path, capsys):
+    # The format is sniffed from the first word outside comments.
+    seq = tmp_path / "c.seq"
+    seq.write_text("# pulses\n\nSEQUENCE 1\nQUBITS 1\nC 0 0.5 1\n")
+    mat = tmp_path / "u.mat"
+    mat.write_text(write_matrix(cir.c_matrix(0.5, 1.0)))
+    assert main(["verify", str(seq), str(mat)]) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_bad_sequence(tmp_path, capsys):
     seq = tmp_path / "bad.seq"
     seq.write_text("SEQUENCE 1\nQUBITS 2\nBOGUS 0\n")
@@ -285,6 +295,8 @@ def test_help_exits_zero(capsys, argv):
          "s_pi.qasm: s takes 0 parameter(s), got 1 (line 3, col 1)"),
         (["verify", "{tmp}/s_pi.qasm", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
          "s_pi.qasm: s takes 0 parameter(s), got 1 (line 3, col 1)"),
+        (["retarget", "{tmp}/number_reg.qasm"], {}, EXIT_PARSE,
+         "number_reg.qasm: expected register name, got '5' (line 1, col 6)"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -297,6 +309,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     (tmp_path / "repeat.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n")
     (tmp_path / "eye2.mat").write_text(write_matrix(np.eye(2)))
     (tmp_path / "s_pi.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\ns(pi) q[0];\n")
+    (tmp_path / "number_reg.qasm").write_text("qreg 5[2]; qreg q[1]; h q[0];\n")
     monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)

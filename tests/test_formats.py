@@ -204,6 +204,14 @@ def test_register_size_must_be_positive(decl, col):
     assert (info.value.line, info.value.col) == (2, col)
 
 
+@pytest.mark.parametrize("decl", ["qreg 5[2];", "creg 5[2];", "qreg [2];"])
+def test_register_name_must_be_identifier(decl):
+    # A register named by a number could never be referenced.
+    with pytest.raises(QasmSyntaxError, match="expected register name") as info:
+        parse_qasm(f"qreg q[1];\n{decl}\nh q[0];\n")
+    assert (info.value.line, info.value.col) == (2, 6)
+
+
 def test_tiny_angle_quotient_parses():
     c = parse_qasm("qreg q[1];\nrx(1e-320/1e-10) q[0];\n")
     assert c.gates[0].params[0] == 1e-320 / 1e-10

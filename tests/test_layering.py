@@ -2,8 +2,9 @@
 
 The IR, the compilers and the stages below the simulator must not import the
 simulator or the CLI, the text formats must not import a compiler, no module
-calls ``np.moveaxis``, Barenco lowering builds its one ``Circuit`` and checks
-unitarity only in ``lower_circuit``, and no module may pull in ``scipy.optimize`` (slow to
+calls ``np.moveaxis``, only ``circuit`` walks and folds single-qubit runs,
+Barenco lowering builds its one ``Circuit`` and checks unitarity only in
+``lower_circuit``, and no module may pull in ``scipy.optimize`` (slow to
 import, and the compiler has no use for a numeric solver).  No module reaches for another module's ``_``-prefixed
 names.  No module or test imports a name it never uses; the package
 ``__init__`` only re-exports, so it is exempt.  Every small float threshold
@@ -44,7 +45,7 @@ def test_lower_layers_do_not_import_simulator_or_cli(module):
 
 
 def test_no_module_calls_moveaxis():
-    # A gate meets basis states only through circuit.row_pairs.
+    # A gate meets basis states only through the views of circuit.pair_views.
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -52,6 +53,19 @@ def test_no_module_calls_moveaxis():
         if isinstance(node, ast.Attribute) and node.attr == "moveaxis"
     ]
     assert not calls
+
+
+def test_one_run_walker():
+    # Retarget and the simulator collect and fold single-qubit runs through
+    # circuit.collect_runs, so a fold bug shows on both sides.
+    walkers = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.lstrip("_") in ("fold", "collect_runs")
+    ]
+    assert walkers == ["circuit.py:_fold", "circuit.py:collect_runs"]
 
 
 def test_barenco_builds_and_checks_only_in_lower_circuit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atomqc import circuit as cir
-from atomqc.circuit import row_pairs
+from atomqc.circuit import pair_views
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.qrd import gcb_code, qrd_compile
@@ -54,7 +54,8 @@ def test_eliminate_ops_are_gray_adjacent():
     u = random_unitary(3, seed=1)
     ops, _ = _elimination_ops(u)
     for op in ops:
-        (basis_a,), (basis_b,) = row_pairs(op.qubits[:-1], op.polarities, op.qubits[-1], 3)
+        rows = pair_views(np.arange(8), op.qubits[:-1], op.polarities, op.qubits[-1], 3)
+        (basis_a,), (basis_b,) = (r.ravel() for r in rows)
         assert bin(basis_a ^ basis_b).count("1") == 1
     dim = 8
     assert len(ops) <= dim * (dim - 1) // 2

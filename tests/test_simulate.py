@@ -4,13 +4,26 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_compiler_inputs import FAMILIES
 
 from atomqc import circuit as cir
 from atomqc.circuit import c_matrix, rotation_matrix
-from atomqc.exceptions import QubitOutOfRange, SizeTooLarge
+from atomqc.exceptions import DimMismatch, QubitOutOfRange, SizeTooLarge
 from atomqc.formats import parse_qasm
-from atomqc.linalg import haar_unitary
-from atomqc.simulate import circuit_unitary, cnot_lower_bound, gate_matrix, verify
+from atomqc.linalg import haar_unitary, random_unitary
+from atomqc.qrd import qrd_compile
+from atomqc.qsd import qsd_compile
+from atomqc.retarget import retarget_circuit
+from atomqc.simulate import (
+    apply_circuit,
+    apply_gate,
+    circuit_unitary,
+    cnot_lower_bound,
+    gate_matrix,
+    verify,
+)
 
 CORPUS = pathlib.Path(__file__).parent / "qasm_corpus"
 RNG = np.random.default_rng(99)
@@ -228,3 +241,93 @@ def test_circuit_unitary_matches_projector_reference(name):
     for g in c.gates:
         expect = _reference_matrix(g, c.n_qubits) @ expect
     assert np.max(np.abs(circuit_unitary(c) - expect)) < 1e-12
+
+
+# The fused simulator (runs folded to one 2x2, sign flips, swaps) against
+# the unfused reference: ``apply_gate``'s general mix, one gate at a time.
+FUSED_TOL = 1e-12
+
+
+def _unfused(c, u=None):
+    u = np.eye(2**c.n_qubits, dtype=complex) if u is None else u.copy()
+    for g in c.gates:
+        apply_gate(u, g, c.n_qubits)
+    return u * np.exp(1j * c.global_phase)
+
+
+def _fused_error(c):
+    return np.max(np.abs(circuit_unitary(c) - _unfused(c)), initial=0.0)
+
+
+def _pipeline_circuits(u):
+    """QRD unlowered and lowered, QSD, and both lowered ones retargeted."""
+    lowered = [qrd_compile(u), qsd_compile(u)]
+    return [qrd_compile(u, lower=False)] + lowered + [retarget_circuit(c) for c in lowered]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in CORPUS.glob("*.qasm") if not p.name.startswith("err_"))
+)
+def test_fused_matches_unfused_on_corpus(name):
+    c = parse_qasm((CORPUS / name).read_text())
+    assert _fused_error(c) <= FUSED_TOL
+    assert _fused_error(retarget_circuit(c)) <= FUSED_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fused_matches_unfused_on_haar_pipelines(n):
+    for c in _pipeline_circuits(random_unitary(n, seed=40 + n)):
+        assert _fused_error(c) <= FUSED_TOL, (n, len(c))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_fused_matches_unfused_on_structured_inputs(family, data):
+    for c in _pipeline_circuits(data.draw(FAMILIES[family])):
+        assert _fused_error(c) <= FUSED_TOL
+
+
+def _edge_circuits():
+    rng = np.random.default_rng(31)
+    single = tuple(cir.u1q(haar_unitary(2, rng), q) for q in (0, 1, 2, 0, 0, 2))
+    open_runs = (cir.h(0), cir.cz(0, 1), cir.rx(0.3, 1), cir.ry(0.4, 2), cir.c_gate(1.0, 2.0, 0))
+    zero_controls = (
+        cir.ry(0.7, 2),
+        cir.mcu((0, 1), 2, haar_unitary(2, rng), (0, 1)),
+        cir.mcu((2,), 0, haar_unitary(2, rng), (0,)),
+        cir.diag_phase((1, 0, 2), (0, 0, 1), 0.9),
+        cir.diag_phase((1,), (0,), -0.4),
+        cir.mcx((2, 0), 1, (0, 0)),
+        cir.rz(1.1, 1),
+        cir.ccz(0, 1, 2),
+        cir.toffoli(2, 1, 0),
+    )
+    return {
+        "empty": cir.Circuit(3),
+        "single_qubit_only": cir.Circuit(3, single),
+        "runs_open_at_end": cir.Circuit(3, open_runs),
+        "global_phase": cir.Circuit(3, single[:2] + (cir.cnot(0, 1),), global_phase=-2.1),
+        "zero_polarity_controls": cir.Circuit(3, zero_controls, global_phase=0.5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_circuits()))
+def test_fused_matches_unfused_on_edge_cases(name):
+    c = _edge_circuits()[name]
+    assert _fused_error(c) <= FUSED_TOL
+    # Any column count: the kernels see only row pairs.
+    rng = np.random.default_rng(32)
+    for k in (1, 3, 9):
+        probes = rng.normal(size=(8, k)) + 1j * rng.normal(size=(8, k))
+        fused = apply_circuit(probes.copy(), c)
+        assert np.max(np.abs(fused - _unfused(c, probes))) <= FUSED_TOL
+
+
+def test_apply_circuit_rejects_a_strided_or_misshapen_input():
+    c = cir.Circuit(2, (cir.h(0),))
+    # A copy made by reshape would take the writes and leave the input as it was.
+    with pytest.raises(ValueError):
+        apply_circuit(np.zeros((3, 4), dtype=complex).T, c)
+    with pytest.raises(DimMismatch):
+        apply_circuit(np.zeros((8, 1), dtype=complex), c)
