@@ -1,7 +1,10 @@
 """Tests for the controlled-gate lowering constructions."""
 
+import itertools
+
 import numpy as np
 import pytest
+from test_compiler_inputs import DEGENERATE
 
 from atomqc import circuit as cir
 from atomqc.barenco import _unitary_sqrt, lower_1q, lower_circuit
@@ -166,6 +169,25 @@ def test_lower_circuit_mcx(controls, polarities, target, n, count):
     assert len(lowered.gates) == count
     assert all(h.kind == "CNOT" or h.is_toffoli for h in lowered.gates if len(h.qubits) > 1)
     assert np.max(np.abs(circuit_unitary(lowered) - gate_matrix(g, n))) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", sorted(DEGENERATE) + ["x"])
+def test_lower_degenerate_blocks(block, m):
+    # With n = m + 1 no qubit is idle, so the square-root recursion takes
+    # roots of these blocks and of the antidiagonal X; n = m + 3 lends the
+    # ladder its borrows.  X goes in as MCX, the others as MCU.
+    controls = tuple(range(m))
+    for n, polarities in itertools.product((m + 1, m + 3), itertools.product((0, 1), repeat=m)):
+        if block == "x":
+            g = cir.mcx(controls, m, polarities)
+        else:
+            g = cir.mcu(controls, m, DEGENERATE[block](0.7), polarities)
+        expect = circuit_unitary(cir.Circuit(n, (g,)))
+        lowered = lower_circuit(cir.Circuit(n, (g,)))
+        assert np.max(np.abs(circuit_unitary(lowered) - expect)) < 1e-12, (n, polarities)
+        native = retarget_circuit(lowered)
+        assert np.max(np.abs(circuit_unitary(native) - expect)) < 1e-12, (n, polarities)
 
 
 def test_unitary_sqrt():

@@ -6,8 +6,9 @@ with nothing to eliminate, the ZY gamma = 0/pi cases, repeated eigenvalues
 in the demultiplexing Schur step) only by chance.  Here every input family
 aims at them: +-I, permutations, diagonals, Kronecker products,
 controlled-U, the QFT, multi-controlled X (X, CNOT, Toffoli, C^3 X),
-exp(i eps H) for eps from 1e-15 to 1e-9, and matrices whose unitarity
-defect is just under ``TOL_UNITARY``.  Each input, on n <= 4 qubits, must
+exp(i eps H) for eps from 1e-15 to 1e-9, matrices whose unitarity
+defect is just under ``TOL_UNITARY``, and controlled blocks ``DEGENERATE``
+with an eigenvalue at exactly -1 or a ZY angle gamma of exactly 0 or pi.  Each input, on n <= 4 qubits, must
 compile through QRD and QSD to a verified circuit, retarget to a
 {C, CZ, CCZ} circuit within ``RETARGET_TOL`` of the input (README's
 promise), and keep the QSD CNOT count within the law.
@@ -83,6 +84,18 @@ one_qubit = st.one_of(
 )
 phases = st.one_of(st.floats(-PI, PI), st.sampled_from([0.0, PI, -PI / 2, 1e-13]))
 
+# 2x2 blocks on the degenerate branches: an eigenvalue at exactly -1,
+# diag(-1, i) (where the quaternion square root leaves Schur's branch), and
+# the ZY gamma = 0 / pi cases.  Each maps a phase psi to a block.
+DEGENERATE = {
+    "minus_identity": lambda psi: -np.eye(2),
+    "diag_minus1_i": lambda psi: np.diag([-1, 1j]),
+    "diag_minus1_1": lambda psi: np.diag([-1.0, 1.0]),
+    "i_x": lambda psi: 1j * np.array([[0, 1], [1, 0]]),
+    "phased_antidiagonal": lambda psi: np.exp(1j * psi) * np.array([[0, 1], [1, 0]]),
+    "ry_pi": lambda psi: np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
 FAMILIES = {
     "signed_identity": st.builds(
         lambda n, sign: sign * np.eye(2**n), qubits, st.sampled_from([1.0, -1.0])
@@ -105,6 +118,12 @@ FAMILIES = {
     "mcx": qubits.map(_mcx),
     "near_identity": st.builds(_near_identity, qubits, seeds, st.floats(-15, -9)),
     "defect_under_tol": st.builds(_defective, qubits, seeds, st.floats(0.5, 0.99)),
+    "degenerate_block": st.builds(
+        lambda n, block, psi: scipy.linalg.block_diag(np.eye(2**n - 2), block(psi)),
+        st.integers(2, 4),
+        st.sampled_from(list(DEGENERATE.values())),
+        phases,
+    ),
 }
 
 
