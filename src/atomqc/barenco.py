@@ -1,34 +1,34 @@
-"""Exact lowerings of controlled and multi-controlled gates.
+"""Exact lowerings of controlled and multi-controlled gates (Barenco et al., quant-ph/9503016).
 
-Provides the single-qubit lowering through ZY angles, the ABC construction
-for controlled-U, the recursive lowering of multi-controlled gates via
-unitary square roots, and the Toffoli ladder for multi-controlled NOT with
-borrowed qubits.  Each construction appends its gates to the caller's list
-and returns their global phase; ``lower_circuit`` builds the one ``Circuit``.
+ZY rotations for a single-qubit gate, the ABC construction for controlled-U,
+the recursion through unitary square roots for multi-controlled gates, and
+the Toffoli ladder for multi-controlled NOT with borrowed qubits.  Each
+construction appends gates, or slots ``(control or None, target, u)`` for a
+2x2 ``u``, to one item list; ``fill_rotations`` fills every slot from one
+``zy_angles`` pass and sums the global phase once.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 from . import circuit as cir
 from .linalg import TOL_ZERO, check_unitary
-from .quaternion import zy_decompose
+from .quaternion import zy_angles
 
 
-def _rot_gates(gates, q, *axis_angle_pairs):
-    """Append rotation gates in time order; return the phase that keeps them exact.
+def _rot_gates(gates, phases, q, *axis_angle_pairs):
+    """Append rotation gates in time order, and to ``phases`` the phase that keeps them exact.
 
-    Canonicalizing a rotation angle into [0, 2pi) flips the matrix sign once
-    per 2pi wrap; the accumulated correction is the returned phase.
+    Canonicalizing an angle into [0, 2pi) flips the matrix sign once per 2pi wrap.
     """
-    phase = 0.0
     for axis, angle in axis_angle_pairs:
         if abs(angle) <= TOL_ZERO:
             continue
         gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
-        phase += np.pi * round((angle - gate.params[0]) / (2 * np.pi))
+        phases.append(np.pi * round((angle - gate.params[0]) / (2 * np.pi)))
         gates.append(gate)
-    return phase
 
 
 def _unitary_sqrt(u):
@@ -38,29 +38,38 @@ def _unitary_sqrt(u):
     return (z * roots) @ z.conj().T
 
 
-def lower_1q(gates, q, u):
-    """Append a single-qubit unitary as RZ/RY rotations; return its global phase."""
-    zy = zy_decompose(u)
-    return zy.alpha + _rot_gates(gates, q, ("Z", zy.delta), ("Y", zy.gamma), ("Z", zy.beta))
+def fill_rotations(items):
+    """The gates of ``items`` with each slot filled in place, and their global phase.
 
-
-def _lower_cu(gates, control, target, u):
-    """Controlled-U over {rotations, CNOT} via the ABC construction."""
-    if np.max(np.abs(u - np.eye(2))) < TOL_ZERO:
-        return 0.0
-    zy = zy_decompose(u)
-    # Sign flips on the target half-rotations hit both control branches
-    # pairwise, but tracking them keeps the gates exact regardless.
-    phase = _rot_gates(gates, target, ("Z", (zy.delta - zy.beta) / 2))
-    gates.append(cir.cnot(control, target))
-    phase += _rot_gates(gates, target, ("Z", -(zy.delta + zy.beta) / 2), ("Y", -zy.gamma / 2))
-    gates.append(cir.cnot(control, target))
-    phase += _rot_gates(gates, target, ("Y", zy.gamma / 2), ("Z", zy.beta))
-    if abs(zy.alpha) > TOL_ZERO:
-        # diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
-        phase += _rot_gates(gates, control, ("Z", zy.alpha))
-        phase += zy.alpha / 2
-    return phase
+    A slot ``(None, q, u)`` becomes RZ(delta) RY(gamma) RZ(beta) on ``q``;
+    ``(control, target, u)`` becomes controlled-U by the ABC construction,
+    or nothing when ``u`` is the identity to ``TOL_ZERO``.
+    """
+    us = np.reshape([item[2] for item in items if isinstance(item, tuple)], (-1, 2, 2))
+    skips = np.max(np.abs(us - np.eye(2)), axis=(1, 2)) < TOL_ZERO
+    rows = zip(skips.tolist(), *(a.tolist() for a in zy_angles(us)))
+    gates, phases = [], []
+    for item in items:
+        if not isinstance(item, tuple):
+            gates.append(item)
+            continue
+        control, target, _ = item
+        skip, alpha, beta, gamma, delta = next(rows)
+        if control is None:
+            phases.append(alpha)
+            _rot_gates(gates, phases, target, ("Z", delta), ("Y", gamma), ("Z", beta))
+        elif not skip:
+            # Sign flips on the target half-rotations hit both control
+            # branches pairwise, but tracking them keeps the gates exact.
+            _rot_gates(gates, phases, target, ("Z", (delta - beta) / 2))
+            gates.append(cir.cnot(control, target))
+            _rot_gates(gates, phases, target, ("Z", -(delta + beta) / 2), ("Y", -gamma / 2))
+            gates.append(cir.cnot(control, target))
+            _rot_gates(gates, phases, target, ("Y", gamma / 2), ("Z", beta))
+            # diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
+            _rot_gates(gates, phases, control, ("Z", alpha))
+            phases.append(alpha / 2)
+    return tuple(gates), math.fsum(phases)
 
 
 def _mcx_ladder(gates, controls, target, idle):
@@ -85,43 +94,39 @@ def _mcx_ladder(gates, controls, target, idle):
     gates.extend(down + up[1:] + down[1:] + up[1:-1])
 
 
-def _mcu_recursive(gates, controls, target, u, n_qubits):
-    """Append C^m U over {rotations, CNOT, Toffoli}, every control on |1>; return its phase.
+def _mcu_recursive(items, controls, target, u, n_qubits):
+    """Append C^m U over {rotations, CNOT, Toffoli}, every control on |1>, as gates and slots.
 
     A block exactly equal to X takes the cheapest C^m X: a CNOT or a
     Toffoli, else the ladder when m - 2 qubits are idle, else the
     square-root recursion like any other block.
     """
     m = len(controls)
-    if m == 0:
-        return lower_1q(gates, target, u)
-    if np.array_equal(u, cir.PAULI_X):
+    if m and np.array_equal(u, cir.PAULI_X):
         if m == 1:
-            gates.append(cir.cnot(controls[0], target))
-            return 0.0
+            items.append(cir.cnot(controls[0], target))
+            return
         if m == 2:
-            gates.append(cir.toffoli(controls[0], controls[1], target))
-            return 0.0
+            items.append(cir.toffoli(controls[0], controls[1], target))
+            return
         idle = [q for q in range(n_qubits) if q != target and q not in controls]
         if len(idle) >= m - 2:
-            _mcx_ladder(gates, controls, target, idle)
-            return 0.0
-    if m == 1:
-        return _lower_cu(gates, controls[0], target, u)
+            _mcx_ladder(items, controls, target, idle)
+            return
+    if m <= 1:
+        items.append((controls[0] if m else None, target, u))
+        return
     v = _unitary_sqrt(u)
     last = controls[-1]
     rest = controls[:-1]
     # The C^(m-1) X onto ``last`` appears twice; lower it once.
     mcx = []
-    mcx_phase = _mcu_recursive(mcx, rest, last, cir.PAULI_X, n_qubits)
-    phase = _lower_cu(gates, last, target, v)
-    gates.extend(mcx)
-    phase += mcx_phase
-    phase += _lower_cu(gates, last, target, v.conj().T)
-    gates.extend(mcx)
-    phase += mcx_phase
-    phase += _mcu_recursive(gates, rest, target, v, n_qubits)
-    return phase
+    _mcu_recursive(mcx, rest, last, cir.PAULI_X, n_qubits)
+    items.append((last, target, v))
+    items.extend(mcx)
+    items.append((last, target, v.conj().T))
+    items.extend(mcx)
+    _mcu_recursive(items, rest, target, v, n_qubits)
 
 
 def lower_circuit(c):
@@ -132,22 +137,22 @@ def lower_circuit(c):
     so the output holds single-qubit gates, CNOT, CZ, CCZ and Toffolis
     (``Gate.is_toffoli``); a one-qubit DIAG_PHASE becomes one PHASE.
     """
-    gates = []
+    items = []
     phase = c.global_phase
     for g in c.gates:
         if g.kind == "DIAG_PHASE" and g.is_single_qubit:
             # diag(e^{i gamma}, 1) = e^{i gamma} * diag(1, e^{-i gamma})
             gamma, on_one = g.params[0], g.polarities[0]
-            gates.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
+            items.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
             phase += 0.0 if on_one else gamma
         elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
             controls, polarities, target, u = cir.controlled_block(g)
-            u = np.asarray(u, dtype=complex)
             check_unitary(u, what="multi-controlled 2x2 block")
             flips = [cir.x(q) for q, p in zip(controls, polarities) if p == 0]
-            gates.extend(flips)
-            phase += _mcu_recursive(gates, controls, target, u, c.n_qubits)
-            gates.extend(flips)
+            items.extend(flips)
+            _mcu_recursive(items, controls, target, u, c.n_qubits)
+            items.extend(flips)
         else:
-            gates.append(g)
-    return cir.Circuit(c.n_qubits, tuple(gates), phase)
+            items.append(g)
+    gates, slot_phase = fill_rotations(items)
+    return cir.Circuit(c.n_qubits, gates, phase + slot_phase)

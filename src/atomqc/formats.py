@@ -22,7 +22,7 @@ from .exceptions import (
     UnsupportedGate,
 )
 from .linalg import check_unitary
-from .quaternion import zy_decompose
+from .quaternion import zy_angles
 
 __all__ = [
     "parse_qasm",
@@ -306,22 +306,25 @@ def render_qasm(c):
     """Render a lowered circuit in the supported OpenQASM subset.
 
     Generic single-qubit matrices (U1, C) become u3 applications through
-    the ZY angles; the global phase, inexpressible in OpenQASM 2.0, is kept
-    as a comment.
+    the ZY angles; u3(gamma, beta, delta) = e^{i (beta + delta)/2} RZ(beta)
+    RY(gamma) RZ(delta) drops alpha - (beta + delta)/2 of each.  That and the
+    circuit's phase, inexpressible in OpenQASM 2.0, are kept as a comment.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.n_qubits}];"]
-    if abs(c.global_phase) > 0:
-        lines.insert(0, f"// global phase: {_fmt(c.global_phase)}")
+    phase = c.global_phase
     for g in c.gates:
         name = _QASM_NAMES.get(g.kind)
         if name is None or (g.kind == "MCX" and not g.is_toffoli):
             raise UnsupportedGate(f"cannot render {g.kind} gate as OpenQASM; lower it first")
         params = g.params
         if g.kind in ("U1", "C"):
-            zy = zy_decompose(cir.gate_local_matrix(g))
-            params = (zy.gamma, zy.beta, zy.delta)
+            alpha, beta, gamma, delta = zy_angles(cir.gate_local_matrix(g))
+            params = (gamma, beta, delta)
+            phase += alpha - (beta + delta) / 2
         args = f"({','.join(map(_fmt, params))})" if params else ""
         lines.append(f"{name}{args} " + ",".join([f"q[{q}]" for q in g.qubits]) + ";")
+    if abs(phase) > 0:
+        lines.insert(0, f"// global phase: {_fmt(phase)}")
     return "\n".join(lines) + "\n"
 
 

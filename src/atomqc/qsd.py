@@ -2,16 +2,17 @@
 
 Each level splits the unitary into two block-diagonal multiplexers and a
 multiplexed RY; each multiplexer demultiplexes into two smaller unitaries
-and a multiplexed RZ.  Recursion bottoms out at single-qubit ZY synthesis.
-The output uses only RY/RZ/RX-free rotations and CNOT, and the CNOT count
-follows c_n = 4 c_{n-1} + 3 * 2^{n-1} exactly for non-degenerate inputs.
+and a multiplexed RZ.  Recursion bottoms out at single-qubit slots that one
+``fill_rotations`` turns into ZY rotations.  The output uses only RY/RZ
+rotations and CNOT, and the CNOT count follows c_n = 4 c_{n-1} + 3 * 2^{n-1}
+exactly for non-degenerate inputs.
 """
 
 import numpy as np
 import scipy.linalg
 
 from . import circuit as cir
-from .barenco import lower_1q
+from .barenco import fill_rotations
 from .exceptions import LengthNotPowerOfTwo
 from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, cs_decompose, demultiplex, qubit_count
 from .qrd import gcb_code
@@ -84,7 +85,7 @@ def _mux_rotation_gates(axis, controls, target, thetas):
 def qsd_compile(u, *, max_qubits=MAX_QUBITS):
     """Compile a unitary by recursive Shannon decomposition.
 
-    The recursion base is a single qubit (ZY synthesis); sign conventions
+    The recursion base is a single-qubit slot (ZY synthesis); sign conventions
     for the multiplexed RY/RZ angles are fixed so the emitted circuit
     reproduces the input exactly up to accumulated float error.
     """
@@ -92,22 +93,20 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
     check_unitary(u)
     n = qubit_count(u.shape[0], max_qubits)
 
-    gates = []
-    phase = 0.0
+    items = []
 
     def descend(block, qubits):
-        nonlocal phase
         if np.max(np.abs(block - np.eye(block.shape[0]))) < _IDENTITY_EPS:
             return
         if len(qubits) == 1:
-            phase += lower_1q(gates, qubits[0], block)
+            items.append((None, qubits[0], block))
             return
         csd = cs_decompose(block)
         select = qubits[0]
         lower = qubits[1:]
         # Time order is right to left: diag(a2,b2), middle RY, diag(a1,b1).
         emit_multiplexer(csd.a2, csd.b2, select, lower)
-        gates.extend(_mux_rotation_gates("Y", lower, select, 2.0 * csd.thetas))
+        items.extend(_mux_rotation_gates("Y", lower, select, 2.0 * csd.thetas))
         emit_multiplexer(csd.a1, csd.b1, select, lower)
 
     def emit_multiplexer(a, b, select, lower):
@@ -117,10 +116,10 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
             return
         dm = demultiplex(a, b)
         descend(dm.w, lower)
-        gates.extend(
+        items.extend(
             _mux_rotation_gates("Z", lower, select, -2.0 * dm.d_phases)
         )
         descend(dm.v, lower)
 
     descend(u, tuple(range(n)))
-    return cir.Circuit(n, tuple(gates), phase)
+    return cir.Circuit(n, *fill_rotations(items))

@@ -7,9 +7,9 @@ single-qubit gate becomes exactly two C(theta, phi) pulses plus a phase.
 ``synthesize_runs`` emits fewer where the rotation allows: none for the
 identity, one for a rotation about an equatorial axis.
 
-The helpers are elementwise: a ``(2, 2)`` unitary gives float fields, a
-stack of shape ``(m, 2, 2)`` gives arrays of length ``m``, through the same
-code.
+The helpers are elementwise: a ``(2, 2)`` unitary gives floats, a stack of
+shape ``(m, 2, 2)`` arrays of length ``m``.  ``zy_angles`` and
+``quaternion_from_unitary`` share one (phase, SU(2)) split, ``_phase_split``.
 """
 
 from dataclasses import dataclass
@@ -22,8 +22,7 @@ from .linalg import TOL_UNITARY, TOL_ZERO, unitarity_defect, wrap_angle
 
 __all__ = [
     "TOL_RECON",
-    "ZyAngles",
-    "zy_decompose",
+    "zy_angles",
     "Quaternion",
     "AxisAngle",
     "TwoPulse",
@@ -57,43 +56,38 @@ def _reject(exc_type, bad, values, what):
         raise exc
 
 
-@dataclass(frozen=True)
-class ZyAngles:
-    """U = e^{i alpha} RZ(beta) RY(gamma) RZ(delta), gamma in [0, pi]."""
+def _phase_split(u):
+    """``(phase, su)``: U = e^{i phase} su, phase = arg(det U)/2 on the principal branch.
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+    ``np.linalg.det`` of a stack is bit for bit its value per 2x2; ``ad - bc`` is not.
+    """
+    phase = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
+    return phase, u * np.exp(-1j * np.asarray(phase))[..., None, None]
 
 
-def zy_decompose(u):
-    """ZY angles of the 2x2 unitary ``u``; callers check its unitarity."""
-    u = np.asarray(u, dtype=complex)
-    alpha = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
-    su = u * np.exp(-1j * alpha)
-    gamma = 2.0 * np.arctan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) < TOL_ZERO:
-        # gamma = pi: only beta - delta is fixed.
-        a = np.angle(su[1, 0])
-        beta, delta = a, -a
-    elif abs(su[1, 0]) < TOL_ZERO:
-        # gamma = 0: only beta + delta is fixed.
-        beta, delta = -2.0 * np.angle(su[0, 0]), 0.0
-    else:
-        beta = np.angle(su[1, 0]) - np.angle(su[0, 0])
-        delta = -np.angle(su[1, 0]) - np.angle(su[0, 0])
+def zy_angles(u):
+    """ZY angles ``(alpha, beta, gamma, delta)`` of a 2x2 unitary or a stack of them.
+
+    U = e^{i alpha} RZ(beta) RY(gamma) RZ(delta), gamma in [0, pi], the others in
+    (-pi, pi]; a stack's row is bit for bit its matrix's.  Callers check unitarity.
+    """
+    alpha, su = _phase_split(np.asarray(u, dtype=complex))
+    s00, s10 = su[..., 0, 0], su[..., 1, 0]
+    # np.abs of a complex array can differ by an ulp from abs of one
+    # complex scalar, which is hypot(re, im); hypot is the same either way.
+    r00, r10 = np.hypot(s00.real, s00.imag), np.hypot(s10.real, s10.imag)
+    a00, a10 = np.angle(s00), np.angle(s10)
+    gamma = 2.0 * np.arctan2(r10, r00)
+    # gamma = pi fixes only beta - delta, gamma = 0 only beta + delta.
+    branches = [r00 < TOL_ZERO, r10 < TOL_ZERO]
+    beta = np.select(branches, [a10, -2.0 * a00], a10 - a00)
+    delta = np.select(branches, [-a10, 0.0], -a10 - a00)
     # Wrapping beta or delta by 2pi flips the sign of its RZ; compensate an
     # odd number of flips through alpha so reconstruction stays exact.
-    flips = 0
-    wrapped = []
-    for raw in (beta, delta):
-        w = wrap_angle(raw)
-        flips += round((raw - w) / (2 * np.pi))
-        wrapped.append(w)
-    if flips % 2:
-        alpha = wrap_angle(alpha + np.pi)
-    return ZyAngles(alpha, wrapped[0], float(gamma), wrapped[1])
+    wrapped = wrap_angle(beta), wrap_angle(delta)
+    flips = sum(np.round((raw - w) / (2 * np.pi)) for raw, w in zip((beta, delta), wrapped))
+    alpha = _pick(flips % 2 == 1, wrap_angle(alpha + np.pi), alpha)
+    return alpha, wrapped[0], gamma, wrapped[1]
 
 
 @dataclass(frozen=True)
@@ -168,8 +162,7 @@ def quaternion_from_unitary(u):
     defect = unitarity_defect(u)
     _reject(NotUnitary, ~(defect <= TOL_UNITARY), defect,
             f"not unitary to tolerance {TOL_UNITARY:g}: defect")
-    phase = wrap_angle(np.angle(np.linalg.det(u)) / 2.0)
-    su = u * np.exp(-1j * np.asarray(phase))[..., None, None]
+    phase, su = _phase_split(u)
     q = Quaternion(
         w=su[..., 0, 0].real,
         x=-su[..., 0, 1].imag,

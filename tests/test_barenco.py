@@ -7,10 +7,10 @@ import pytest
 from test_compiler_inputs import DEGENERATE
 
 from atomqc import circuit as cir
-from atomqc.barenco import _unitary_sqrt, lower_1q, lower_circuit
+from atomqc.barenco import _unitary_sqrt, fill_rotations, lower_circuit
 from atomqc.formats import render_qasm
 from atomqc.linalg import haar_unitary, is_unitary, phase_distance
-from atomqc.quaternion import zy_decompose
+from atomqc.quaternion import zy_angles
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
 
@@ -20,8 +20,7 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _lowered_1q(u):
-    gates = []
-    phase = lower_1q(gates, 0, u)
+    gates, phase = fill_rotations([(None, 0, u)])
     return cir.Circuit(1, tuple(gates), phase)
 
 
@@ -29,14 +28,15 @@ def _lowered(n, g):
     return lower_circuit(cir.Circuit(n, (g,)))
 
 
-def test_zy_decompose_reconstructs_exactly():
+def test_zy_angles_reconstructs_exactly():
     for _ in range(200):
         u = haar_unitary(2, RNG)
         assert np.max(np.abs(circuit_unitary(_lowered_1q(u)) - u)) < 1e-12
-        assert 0 <= zy_decompose(u).gamma <= np.pi + 1e-12
+        _, _, gamma, _ = zy_angles(u)
+        assert 0 <= gamma <= np.pi + 1e-12
 
 
-def test_zy_decompose_degenerate_branches():
+def test_zy_angles_degenerate_branches():
     for u in (np.eye(2, dtype=complex), X, 1j * X, np.diag([1.0, 1j])):
         assert np.max(np.abs(circuit_unitary(_lowered_1q(u)) - u)) < 1e-12
 

@@ -1,16 +1,16 @@
 """Property tests of both compilers on structured and near-degenerate inputs.
 
-The acceptance sweeps draw Haar-random unitaries, which reach the
-degenerate branches (QSD's identity and equal-block skips, a Givens pair
-with nothing to eliminate, the ZY gamma = 0/pi cases, repeated eigenvalues
-in the demultiplexing Schur step) only by chance.  Here every input family
-aims at them: +-I, permutations, diagonals, Kronecker products,
-controlled-U, the QFT, multi-controlled X (X, CNOT, Toffoli, C^3 X),
-exp(i eps H) for eps from 1e-15 to 1e-9, matrices whose unitarity
-defect is just under ``TOL_UNITARY``, and controlled blocks ``DEGENERATE``
-with an eigenvalue at exactly -1 or a ZY angle gamma of exactly 0 or pi.  Each input, on n <= 4 qubits, must
-compile through QRD and QSD to a verified circuit, retarget to a
-{C, CZ, CCZ} circuit within ``RETARGET_TOL`` of the input (README's
+The acceptance sweeps draw Haar-random unitaries, which reach the degenerate
+branches (QSD's identity and equal-block skips, a Givens pair with nothing
+to eliminate, the ZY gamma = 0/pi cases, repeated eigenvalues in the
+demultiplexing Schur step) only by chance.  Here every input family aims at
+them: +-I, permutations, diagonals, Kronecker products, controlled-U, the
+QFT, multi-controlled X (X, CNOT, Toffoli, C^3 X), exp(i eps H) for eps from
+1e-15 to 1e-9, matrices whose unitarity defect is just under
+``TOL_UNITARY``, and controlled blocks ``DEGENERATE`` with an eigenvalue at
+exactly -1 or a ZY angle gamma of exactly 0 or pi.  Each input, on n <= 4
+qubits, must compile through QRD and QSD to a verified circuit, retarget to
+a {C, CZ, CCZ} circuit within ``RETARGET_TOL`` of the input (README's
 promise), and keep the QSD CNOT count within the law.
 """
 

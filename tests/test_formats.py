@@ -283,6 +283,37 @@ def test_render_global_phase_comment():
     assert text.startswith("// global phase: 0.5")
 
 
+def _comment_phase(text):
+    head = text.splitlines()[0]
+    return float(head.split(":")[1]) if head.startswith("// global phase:") else 0.0
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        cir.Circuit(1, (cir.c_gate(4.0, 0.3, 0),)),
+        cir.Circuit(1, (cir.u1q(haar_unitary(2, np.random.default_rng(6)), 0),), 0.25),
+        cir.Circuit(
+            2,
+            (
+                cir.u1q(haar_unitary(2, np.random.default_rng(7)), 0),
+                cir.cnot(0, 1),
+                cir.c_gate(5.5, 2.0, 1),
+                cir.rz(1.2, 0),
+                cir.c_gate(0.4, 6.0, 0),
+            ),
+            -1.0,
+        ),
+    ],
+)
+def test_render_comment_phase_is_exact(c):
+    # Each u3 drops alpha - (beta + delta)/2 of its gate's phase; the
+    # comment adds it back, so the text states the circuit exactly.
+    text = render_qasm(c)
+    back = circuit_unitary(parse_qasm(text))
+    assert np.max(np.abs(np.exp(1j * _comment_phase(text)) * back - circuit_unitary(c))) < 1e-12
+
+
 def test_render_rejects_unloweable():
     c = cir.Circuit(4, (cir.mcx((0, 1, 2), 3),))
     with pytest.raises(UnsupportedGate):

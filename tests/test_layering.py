@@ -4,8 +4,10 @@ The IR, the compilers and the stages below the simulator must not import the
 simulator or the CLI, the text formats must not import a compiler, no module
 calls ``np.moveaxis``, only ``circuit`` walks and folds single-qubit runs,
 Barenco lowering builds its one ``Circuit`` and checks unitarity only in
-``lower_circuit``, and no module may pull in ``scipy.optimize`` (slow to
-import, and the compiler has no use for a numeric solver).  No module reaches for another module's ``_``-prefixed
+``lower_circuit`` and takes ZY angles only in ``fill_rotations``, one
+function computes the determinant (the phase split), and no module may pull
+in ``scipy.optimize`` (slow to import, and the compiler has no use for a
+numeric solver).  No module reaches for another module's ``_``-prefixed
 names.  No module or test imports a name it never uses; the package
 ``__init__`` only re-exports, so it is exempt.  Every small float threshold
 is a named module constant, and no two constants share a value.
@@ -68,17 +70,35 @@ def test_one_run_walker():
     assert walkers == ["circuit.py:_fold", "circuit.py:collect_runs"]
 
 
-def test_barenco_builds_and_checks_only_in_lower_circuit():
-    # Each construction appends to the caller's gate list, so one Circuit is
-    # built and each block's unitarity is checked once, at lower_circuit.
+def _callers(path, names):
+    """Top-level functions of ``path`` that call each of ``names``, one entry per call."""
     calls = {}
-    for fn in ast.parse((SRC / "barenco.py").read_text(encoding="utf-8")).body:
+    for fn in ast.parse(path.read_text(encoding="utf-8")).body:
         for node in ast.walk(fn):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in ("Circuit", "check_unitary"):
+                if name in names:
                     calls.setdefault(name, []).append(getattr(fn, "name", None))
-    assert calls == {"Circuit": ["lower_circuit"], "check_unitary": ["lower_circuit"]}
+    return calls
+
+
+def test_barenco_builds_and_checks_only_in_lower_circuit():
+    # Each construction appends to the caller's item list, so one Circuit is
+    # built and each block's unitarity is checked once, at lower_circuit,
+    # and one zy_angles pass fills every slot.
+    calls = _callers(SRC / "barenco.py", ("Circuit", "check_unitary", "zy_angles"))
+    assert calls == {
+        "Circuit": ["lower_circuit"],
+        "check_unitary": ["lower_circuit"],
+        "zy_angles": ["fill_rotations"],
+    }
+
+
+def test_one_phase_split():
+    # The ZY angles and the quaternions take their (phase, SU(2)) split from
+    # one function, so the package has one det call.
+    calls = {p.name: c["det"] for p in sorted(SRC.glob("*.py")) if (c := _callers(p, ("det",)))}
+    assert calls == {"quaternion.py": ["_phase_split"]}
 
 
 def test_formats_imports_no_compiler():

@@ -6,7 +6,7 @@ import pytest
 from atomqc.circuit import rotation_matrix
 from atomqc import quaternion
 from atomqc.exceptions import NotUnitary, SynthesisFailure
-from atomqc.linalg import haar_unitary, phase_distance
+from atomqc.linalg import TOL_ZERO, haar_unitary, phase_distance
 from atomqc.quaternion import (
     Quaternion,
     quaternion_from_unitary,
@@ -14,6 +14,7 @@ from atomqc.quaternion import (
     quaternion_to_unitary,
     to_axis_angle,
     two_pulse_synthesis,
+    zy_angles,
 )
 
 RNG = np.random.default_rng(2024)
@@ -173,3 +174,37 @@ def test_one_pulse_path_shares_the_acceptance_check(monkeypatch):
     counts, _ = quaternion.synthesize_runs(np.stack([rotation_matrix("X", 0.7), H]))
     assert counts.tolist() == [1, 2]
     assert checked == [[1, 2]]
+
+
+def _near_zero_column(r, phase):
+    """e^{i phase} times an SU(2) whose first column has moduli ``r`` and sqrt(1 - r^2)."""
+    a, b = r * np.exp(0.3j), np.sqrt(1 - r * r) * np.exp(1.1j)
+    return np.exp(1j * phase) * np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def test_zy_angles_stack_matches_each_matrix_bit_for_bit():
+    # Its own generator, so the draws of the tests above stay as they were.
+    rng = np.random.default_rng(77)
+    special = [np.eye(2), -np.eye(2), X, 1j * X, np.diag([1, 1j])]
+    # |su00| straddling TOL_ZERO picks the gamma = pi branch or not; the
+    # transposed block does the same for |su10| and gamma = 0.
+    edges = [
+        m
+        for r in (1e-12 * (1 - 1e-3), 1e-12 * (1 + 1e-3))
+        for phase in (0.0, 2.5)
+        for m in (_near_zero_column(r, phase), _near_zero_column(r, phase).T)
+    ]
+    us = np.array([haar_unitary(2, rng) for _ in range(200)] + special + edges, dtype=complex)
+    stack = np.array(zy_angles(us)).T
+    for u, row in zip(us, stack):
+        assert np.array_equal(zy_angles(u), row)
+    alpha, beta, gamma, delta = stack.T
+    rebuilt = np.exp(1j * alpha)[:, None, None] * (
+        rotation_matrix("Z", beta) @ rotation_matrix("Y", gamma) @ rotation_matrix("Z", delta)
+    )
+    # An entry below TOL_ZERO takes the angle the branch rule sets, which
+    # can move it by up to twice its modulus.
+    branch = np.minimum(np.abs(us[:, 0, 0]), np.abs(us[:, 1, 0])) < TOL_ZERO
+    err = np.max(np.abs(rebuilt - us), axis=(1, 2))
+    assert np.all(err < np.where(branch, 1e-12 + 2 * TOL_ZERO, 1e-12)), err[branch]
+    assert np.all((0 <= gamma) & (gamma <= np.pi))
