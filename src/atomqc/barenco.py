@@ -18,19 +18,6 @@ from .linalg import TOL_ZERO, check_unitary
 from .quaternion import zy_angles
 
 
-def _rot_gates(gates, phases, q, *axis_angle_pairs):
-    """Append rotation gates in time order, and to ``phases`` the phase that keeps them exact.
-
-    Canonicalizing an angle into [0, 2pi) flips the matrix sign once per 2pi wrap.
-    """
-    for axis, angle in axis_angle_pairs:
-        if abs(angle) <= TOL_ZERO:
-            continue
-        gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
-        phases.append(np.pi * round((angle - gate.params[0]) / (2 * np.pi)))
-        gates.append(gate)
-
-
 def _unitary_sqrt(u):
     """Principal square root of a 2x2 unitary (eigenphases halved into (-pi/2, pi/2])."""
     t, z = scipy.linalg.schur(u, output="complex")
@@ -38,38 +25,67 @@ def _unitary_sqrt(u):
     return (z * roots) @ z.conj().T
 
 
+def _canonical(angles):
+    """Angles in [0, 2pi) and the phases pi * round((angle - canonical) / 2pi) keeping them exact.
+
+    Canonicalizing an angle flips the rotation's sign once per 2pi wrap.
+    """
+    canon = cir.canon_2pi(angles)
+    return canon, np.pi * np.round((angles - canon) / (2 * np.pi))
+
+
+# Each slot's gates in time order: ``(kind, angle column)`` on the target,
+# a CNOT as ``("CNOT", None)``, and column 5 on the control.  The angle
+# columns are those ``fill_rotations`` builds for the slot's kind.
+_ZYZ = (("RZ", 0), ("RY", 1), ("RZ", 2))
+_ABC = (("RZ", 0), ("CNOT", None), ("RZ", 1), ("RY", 2), ("CNOT", None), ("RY", 3), ("RZ", 4),
+        ("RZ", 5))
+
+
 def fill_rotations(items):
     """The gates of ``items`` with each slot filled in place, and their global phase.
 
     A slot ``(None, q, u)`` becomes RZ(delta) RY(gamma) RZ(beta) on ``q``;
     ``(control, target, u)`` becomes controlled-U by the ABC construction,
-    or nothing when ``u`` is the identity to ``TOL_ZERO``.
+    or nothing when ``u`` is the identity to ``TOL_ZERO``.  The angles of
+    every slot, their ``TOL_ZERO`` skips, canonical values and wrap phases
+    are arrays with one column per rotation; a rotation whose angle is zero
+    to ``TOL_ZERO`` is left out.
     """
-    us = np.reshape([item[2] for item in items if isinstance(item, tuple)], (-1, 2, 2))
-    skips = np.max(np.abs(us - np.eye(2)), axis=(1, 2)) < TOL_ZERO
-    rows = zip(skips.tolist(), *(a.tolist() for a in zy_angles(us)))
-    gates, phases = [], []
+    slots = [item for item in items if isinstance(item, tuple)]
+    us = np.reshape([slot[2] for slot in slots], (-1, 2, 2))
+    single = np.array([slot[0] is None for slot in slots], dtype=bool)
+    alpha, beta, gamma, delta = zy_angles(us)
+    skip = ~single & (np.max(np.abs(us - np.eye(2)), axis=(1, 2)) < TOL_ZERO)
+    zero = np.zeros_like(alpha)
+    angles = np.where(
+        single,
+        [delta, gamma, beta, zero, zero, zero],
+        # Sign flips on the target half-rotations hit both control branches
+        # pairwise, but tracking them keeps the gates exact.  The last
+        # column is diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
+        [(delta - beta) / 2, -(delta + beta) / 2, -gamma / 2, gamma / 2, beta, alpha],
+    )
+    kept = (np.abs(angles) > TOL_ZERO) & ~skip
+    canon, wraps = _canonical(angles)
+    phase = math.fsum([*alpha[single].tolist(), *(alpha[~single & ~skip] / 2).tolist(),
+                       *wraps[kept].tolist()])
+    rows = zip(skip.tolist(), kept.T.tolist(), canon.T.tolist())
+    gates = []
     for item in items:
         if not isinstance(item, tuple):
             gates.append(item)
             continue
         control, target, _ = item
-        skip, alpha, beta, gamma, delta = next(rows)
-        if control is None:
-            phases.append(alpha)
-            _rot_gates(gates, phases, target, ("Z", delta), ("Y", gamma), ("Z", beta))
-        elif not skip:
-            # Sign flips on the target half-rotations hit both control
-            # branches pairwise, but tracking them keeps the gates exact.
-            _rot_gates(gates, phases, target, ("Z", (delta - beta) / 2))
-            gates.append(cir.cnot(control, target))
-            _rot_gates(gates, phases, target, ("Z", -(delta + beta) / 2), ("Y", -gamma / 2))
-            gates.append(cir.cnot(control, target))
-            _rot_gates(gates, phases, target, ("Y", gamma / 2), ("Z", beta))
-            # diag(1, e^{i alpha}) on the control = e^{i alpha/2} RZ(alpha).
-            _rot_gates(gates, phases, control, ("Z", alpha))
-            phases.append(alpha / 2)
-    return tuple(gates), math.fsum(phases)
+        skipped, keep, angle = next(rows)
+        if skipped:
+            continue
+        for kind, k in _ZYZ if control is None else _ABC:
+            if k is None:
+                gates.append(cir.cnot(control, target))
+            elif keep[k]:
+                gates.append(cir.Gate(kind, (control,) if k == 5 else (target,), (angle[k],)))
+    return tuple(gates), phase
 
 
 def _mcx_ladder(gates, controls, target, idle):
@@ -132,11 +148,16 @@ def _mcu_recursive(items, controls, target, u, n_qubits):
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    Each is checked once for unitarity and goes through the Barenco
-    recursion as its ``controlled_block``, |0> controls conjugated with X,
-    so the output holds single-qubit gates, CNOT, CZ, CCZ and Toffolis
-    (``Gate.is_toffoli``); a one-qubit DIAG_PHASE becomes one PHASE.
+    Their blocks are checked for unitarity in one pass; each goes through
+    the Barenco recursion as its ``controlled_block``, |0> controls
+    conjugated with X, so the output holds single-qubit gates, CNOT, CZ,
+    CCZ and Toffolis (``Gate.is_toffoli``); a one-qubit DIAG_PHASE becomes
+    one PHASE.
     """
+    blocks = [cir.controlled_block(g) for g in c.gates
+              if g.kind in ("MCU", "MCX", "DIAG_PHASE") and not g.is_single_qubit]
+    check_unitary(np.reshape([b[3] for b in blocks], (-1, 2, 2)), what="multi-controlled 2x2 block")
+    blocks = iter(blocks)
     items = []
     phase = c.global_phase
     for g in c.gates:
@@ -146,8 +167,7 @@ def lower_circuit(c):
             items.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
             phase += 0.0 if on_one else gamma
         elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
-            controls, polarities, target, u = cir.controlled_block(g)
-            check_unitary(u, what="multi-controlled 2x2 block")
+            controls, polarities, target, u = next(blocks)
             flips = [cir.x(q) for q, p in zip(controls, polarities) if p == 0]
             items.extend(flips)
             _mcu_recursive(items, controls, target, u, c.n_qubits)

@@ -14,6 +14,7 @@ Gates and circuits are immutable value types.
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,6 +33,13 @@ def _canon_2pi(x):
     y = float(x) % (2 * np.pi)
     # A tiny negative x rounds up to exactly 2 pi, outside [0, 2 pi).
     return 0.0 if y == 2 * np.pi else y
+
+
+def canon_2pi(angles):
+    """``_canon_2pi`` of every entry of a float array, bit for bit, as a new array."""
+    y = np.mod(angles, 2 * np.pi)
+    y[y == 2 * np.pi] = 0.0
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,13 +359,40 @@ def collect_runs(gates, conjugate=None):
 
     ``conjugate(g)``, if given, maps each multi-qubit gate to ``(gate,
     qubit)``: ``gate`` takes the slot and, unless ``qubit`` is None, a
-    Hadamard on ``qubit`` before and after it joins that qubit's runs.  The
-    per-gate matrices are freed on return.
+    Hadamard on ``qubit`` before and after it joins that qubit's runs.  Its
+    answer must depend only on the gate's kind, qubits and polarities: it is
+    asked once per distinct triple, so equal gates share one output gate.
+    The per-gate matrices are freed on return.
     """
     slots, ones, run_of, runs = [], [], [], []
     open_runs = {}  # qubit -> index into runs of its open run
-
-    def join(q, g, i):
+    rewrites = {}  # (kind, qubits, polarities) -> conjugate's answer
+    for i, g in enumerate(gates):
+        qubits = g.qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+        else:
+            q = None
+            if conjugate is not None:
+                key = (g.kind, qubits, g.polarities)
+                hit = rewrites.get(key)
+                if hit is None:
+                    hit = rewrites[key] = conjugate(g)
+                g, q = hit
+            if q is not None:
+                r = open_runs.get(q)
+                if r is None:
+                    r = open_runs[q] = len(runs)
+                    runs.append((q, i))
+                    slots.append(r)
+                ones.append(_HADAMARD_GATE)
+                run_of.append(r)
+            for p in g.qubits:
+                open_runs.pop(p, None)
+            slots.append(g)
+            if q is None:
+                continue
+            g = _HADAMARD_GATE  # the second one opens q's next run
         r = open_runs.get(q)
         if r is None:
             r = open_runs[q] = len(runs)
@@ -365,19 +400,6 @@ def collect_runs(gates, conjugate=None):
             slots.append(r)
         ones.append(g)
         run_of.append(r)
-
-    for i, g in enumerate(gates):
-        if g.is_single_qubit:
-            join(g.qubits[0], g, i)
-            continue
-        g, q = conjugate(g) if conjugate else (g, None)
-        if q is not None:
-            join(q, _HADAMARD_GATE, i)
-        for p in g.qubits:
-            open_runs.pop(p, None)
-        slots.append(g)
-        if q is not None:
-            join(q, _HADAMARD_GATE, i)
     us = _fold(local_matrices(ones), np.array(run_of), len(runs)) if runs else None
     return slots, runs, us
 
@@ -404,16 +426,17 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        for g in self.gates:
-            check_qubits(g, self.n_qubits)
+        # Gates share few qubit tuples; each distinct one, in gate order, is checked once.
+        for qubits in dict.fromkeys(map(attrgetter("qubits"), self.gates)):
+            check_qubits(qubits, self.n_qubits)
 
     def __len__(self):
         return len(self.gates)
 
 
-def check_qubits(gate, n_qubits):
-    """Raise ``QubitOutOfRange`` unless every qubit of ``gate`` is below ``n_qubits``."""
-    for q in gate.qubits:
+def check_qubits(qubits, n_qubits):
+    """Raise ``QubitOutOfRange`` unless every one of ``qubits`` is below ``n_qubits``."""
+    for q in qubits:
         if not 0 <= q < n_qubits:
             raise QubitOutOfRange(f"qubit {q} outside width {n_qubits}")
 

@@ -409,7 +409,7 @@ def parse_sequence(text):
             qs, params = _seq_fields(line, lineno, mnemonic, *_SEQ_INSTRUCTIONS[mnemonic])
             try:
                 gate = cir.Gate(mnemonic, tuple(qs), tuple(params))
-                cir.check_qubits(gate, n_qubits)
+                cir.check_qubits(gate.qubits, n_qubits)
             except (DuplicateQubit, QubitOutOfRange) as exc:
                 raise SequenceSyntaxError(str(exc), lineno) from exc
             gates.append(gate)

@@ -59,7 +59,13 @@ def is_unitary(m, tol=TOL_UNITARY):
 
 
 def check_unitary(m, what="matrix"):
-    if not is_unitary(m):
+    """Raise ``NotUnitary`` unless ``m`` is unitary; for a stack, name its first bad matrix."""
+    m = np.asarray(m)
+    if m.ndim == 3:
+        bad = np.flatnonzero(~(unitarity_defect(m) <= TOL_UNITARY))
+        if bad.size:
+            raise NotUnitary(f"{what} {bad[0]} is not unitary to tolerance {TOL_UNITARY:g}")
+    elif not is_unitary(m):
         raise NotUnitary(f"{what} is not unitary to tolerance {TOL_UNITARY:g}")
 
 
@@ -164,8 +170,10 @@ def haar_unitary(dim, rng):
 
 def random_unitary(n_qubits, seed, max_qubits=MAX_QUBITS):
     """Deterministic Haar-random unitary on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= max_qubits:
+    if n_qubits < 1:
         raise SizeTooLarge(f"n_qubits={n_qubits} outside 1..{max_qubits}")
+    if n_qubits > max_qubits:
+        raise SizeTooLarge(f"{n_qubits} qubits exceeds limit {max_qubits}")
     rng = np.random.default_rng(seed)
     return haar_unitary(2**n_qubits, rng)
 

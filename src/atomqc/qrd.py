@@ -67,15 +67,26 @@ def eliminate_controls(
     reduced gate always retains the original 2x2 action on the active pair.
     ``controls`` and ``polarities`` are tuples; returns the kept ones, worst
     case all of them.
+
+    ``block`` is applied once to every row pair ``target`` couples; a
+    candidate then reads the largest cleared-entry magnitude over the
+    patterns of the other qubits its controls select.
     """
     threshold = TOL_ZERO * max(matrix.shape[0], 4)
+    rows = cir.mix(block, *cir.pair_views(matrix, (), (), target, n_qubits))
+    masks = cir.pair_views(cleared_mask, (), (), target, n_qubits)
+    # worst[pattern] over the other qubits, one axis each in qubit order.
+    worst = np.maximum(*(
+        np.where(mask, np.abs(r), 0.0).reshape((2,) * (n_qubits - 1) + (-1,)).max(axis=-1)
+        for r, mask in zip(rows, masks)
+    ))
     for q in sorted(controls):
         idx = controls.index(q)
         kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
-        rows = cir.mix(block, *cir.pair_views(matrix, *kept, target, n_qubits))
-        masks = cir.pair_views(cleared_mask, *kept, target, n_qubits)
-        bad = max(np.abs(r[mask]).max(initial=0.0) for r, mask in zip(rows, masks))
-        if bad <= threshold:
+        select = [slice(None)] * (n_qubits - 1)
+        for p, bit in zip(*kept):
+            select[p - (p > target)] = bit
+        if worst[tuple(select)].max() <= threshold:
             controls, polarities = kept
     return controls, polarities
 
@@ -95,7 +106,7 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
     n = qubit_count(dim, max_qubits)
 
     m = u.copy()
-    emitted = []
+    emitted = []  # each elimination's dagger
     cleared = np.zeros((dim, dim), dtype=bool)
     for c in range(dim - 1):
         col = gcb_code(c)
@@ -110,7 +121,7 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     )
                 rows_a, rows_b = cir.pair_views(m, controls, pol, target, n)
                 rows_a[...], rows_b[...] = cir.mix(block, rows_a, rows_b)
-                emitted.append(cir.mcu(controls, target, block, pol))
+                emitted.append(cir.mcu(controls, target, block.conj().T, pol))
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).
         cleared[:, col] = True
@@ -125,8 +136,7 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
             pattern = tuple((basis >> (n - 1 - q)) & 1 for q in range(n))
             gates.append(cir.diag_phase(tuple(range(n)), pattern, gamma))
     # Time order: diagonal first, then the daggered eliminations in reverse.
-    for gate in reversed(emitted):
-        gates.append(gate.dagger())
+    gates.extend(reversed(emitted))
     circuit = cir.Circuit(n, tuple(gates))
     if lower:
         circuit = lower_circuit(circuit)

@@ -38,7 +38,9 @@ def retarget_circuit(c, tol=TOL_RECON):
     rewrite, collecting each qubit's single-qubit run until an entangling
     gate touches that qubit (or the circuit ends) and keeping the run's slot
     where it began, so the gate order holds; one ``synthesize_runs`` call
-    then turns every run into pulses.  A failing run raises ``NotUnitary``
+    then turns every run into pulses, whose angles are canonicalized as
+    arrays; CNOTs (Toffolis) on the same qubits share one CZ (CCZ) gate.
+    A failing run raises ``NotUnitary``
     or ``SynthesisFailure`` naming its qubit and first input gate.
     Raises ``UnsupportedGate`` for any gate outside
     {single-qubit, CNOT, Toffoli, CZ, CCZ}; multi-controlled and matrix
@@ -46,18 +48,25 @@ def retarget_circuit(c, tol=TOL_RECON):
     """
     slots, runs, us = cir.collect_runs(c.gates, _entangling_rewrite)
     phase = c.global_phase
-    pulses = []
+    gates = []
     if runs:
         try:
             counts, tp = synthesize_runs(us, tol)
         except (NotUnitary, SynthesisFailure) as exc:
             q, start = runs[exc.row]
             raise type(exc)(f"run on qubit {q} from input gate {start}: {exc}") from exc
-        for (q, _), n, theta1, phi1, theta2, phi2 in zip(
-            runs, counts, tp.theta1, tp.phi1, tp.theta2, tp.phi2
-        ):
-            pair = ((theta1, phi1), (theta2, phi2))[:n]
-            pulses.append(tuple(cir.c_gate(theta, phi, q) for theta, phi in pair))
+        counts = counts.tolist()
+        theta1, phi1, theta2, phi2 = (
+            cir.canon_2pi(a).tolist() for a in (tp.theta1, tp.phi1, tp.theta2, tp.phi2)
+        )
         phase += math.fsum(tp.gamma)
-    gates = tuple(g for s in slots for g in (pulses[s] if isinstance(s, int) else (s,)))
-    return cir.Circuit(c.n_qubits, gates, wrap_angle(phase))
+    for s in slots:
+        if not isinstance(s, int):
+            gates.append(s)
+            continue
+        on = (runs[s][0],)
+        if counts[s]:
+            gates.append(cir.Gate("C", on, (theta1[s], phi1[s])))
+        if counts[s] == 2:
+            gates.append(cir.Gate("C", on, (theta2[s], phi2[s])))
+    return cir.Circuit(c.n_qubits, tuple(gates), wrap_angle(phase))

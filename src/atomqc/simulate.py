@@ -21,7 +21,7 @@ def apply_gate(u, g, n_qubits):
 
     The unfused reference: one general 2x2 mix per gate.
     """
-    cir.check_qubits(g, n_qubits)
+    cir.check_qubits(g.qubits, n_qubits)
     controls, polarities, target, block = cir.controlled_block(g)
     a, b = cir.pair_views(u, controls, polarities, target, n_qubits)
     a[...], b[...] = cir.mix(block, a, b)
@@ -48,21 +48,26 @@ def apply_circuit(u, c):
     if not u.flags.c_contiguous:
         raise ValueError("apply_circuit needs a C-contiguous array")
     slots, runs, us = cir.collect_runs(c.gates)
+    # One batched 2x2 matmul per run over the view (2^q, 2, rest) of its
+    # qubit: fewer array passes than the general mix, equal up to rounding.
+    run_views = [u.reshape(cir.block_index((), (), q, n)[0]) for q in range(n)]
+    signs = {}  # qubits -> the rows a CZ or CCZ on them negates
     for s in slots:
         if isinstance(s, int):
-            # One batched 2x2 matmul over the view (2^q, 2, rest): fewer
-            # array passes than the general mix, equal up to rounding.
-            v = u.reshape(cir.block_index((), (), runs[s][0], n)[0])
+            v = run_views[runs[s][0]]
             v[...] = us[s] @ v
-            continue
-        controls, polarities, target, block = cir.controlled_block(s)
-        a, b = cir.pair_views(u, controls, polarities, target, n)
-        if s.kind in ("CZ", "CCZ"):
+        elif s.kind in ("CZ", "CCZ"):
+            b = signs.get(s.qubits)
+            if b is None:
+                b = signs[s.qubits] = cir.pair_views(u, *cir.controlled_block(s)[:3], n)[1]
             np.negative(b, out=b)
-        elif s.kind in ("CNOT", "MCX"):
-            a[...], b[...] = b, a.copy()
         else:
-            a[...], b[...] = cir.mix(block, a, b)
+            controls, polarities, target, block = cir.controlled_block(s)
+            a, b = cir.pair_views(u, controls, polarities, target, n)
+            if s.kind in ("CNOT", "MCX"):
+                a[...], b[...] = b, a.copy()
+            else:
+                a[...], b[...] = cir.mix(block, a, b)
     u *= np.exp(1j * c.global_phase)
     return u
 

@@ -1,15 +1,20 @@
 """Tests for the controlled-gate lowering constructions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from test_compiler_inputs import DEGENERATE
 
+from atomqc import barenco, qsd
 from atomqc import circuit as cir
 from atomqc.barenco import _unitary_sqrt, fill_rotations, lower_circuit
 from atomqc.formats import render_qasm
-from atomqc.linalg import haar_unitary, is_unitary, phase_distance
+from atomqc.linalg import TOL_ZERO, haar_unitary, is_unitary, phase_distance, random_unitary
+from atomqc.qrd import qrd_compile
+from atomqc.qsd import qsd_compile
 from atomqc.quaternion import zy_angles
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
@@ -201,3 +206,63 @@ def test_unitary_sqrt():
 def test_unitary_sqrt_of_minus_identity():
     v = _unitary_sqrt(-np.eye(2))
     assert np.max(np.abs(v @ v + np.eye(2))) < 1e-12
+
+
+def _reference_fill_rotations(items):
+    """The per-rotation loop ``fill_rotations`` replaced: scalar angles, one gate at a time."""
+    rows = iter(
+        zip(*(a.tolist() for a in zy_angles(
+            np.reshape([item[2] for item in items if isinstance(item, tuple)], (-1, 2, 2))
+        )))
+    )
+    gates, phases = [], []
+
+    def rotations(q, *axis_angle_pairs):
+        for axis, angle in axis_angle_pairs:
+            if abs(angle) <= TOL_ZERO:
+                continue
+            gate = (cir.ry if axis == "Y" else cir.rz)(angle, q)
+            phases.append(np.pi * round((angle - gate.params[0]) / (2 * np.pi)))
+            gates.append(gate)
+
+    for item in items:
+        if not isinstance(item, tuple):
+            gates.append(item)
+            continue
+        control, target, u = item
+        alpha, beta, gamma, delta = next(rows)
+        if control is None:
+            phases.append(alpha)
+            rotations(target, ("Z", delta), ("Y", gamma), ("Z", beta))
+        elif not np.max(np.abs(u - np.eye(2))) < TOL_ZERO:
+            rotations(target, ("Z", (delta - beta) / 2))
+            gates.append(cir.cnot(control, target))
+            rotations(target, ("Z", -(delta + beta) / 2), ("Y", -gamma / 2))
+            gates.append(cir.cnot(control, target))
+            rotations(target, ("Y", gamma / 2), ("Z", beta))
+            rotations(control, ("Z", alpha))
+            phases.append(alpha / 2)
+    return tuple(gates), math.fsum(phases)
+
+
+def test_fill_rotations_matches_per_rotation_reference(monkeypatch):
+    # Every fill made while compiling gives the gates and the phase of the
+    # scalar loop, bit for bit.
+    calls = []
+
+    def checked(items):
+        got = fill_rotations(items)
+        want = _reference_fill_rotations(items)
+        assert got[0] == want[0]
+        assert float(got[1]).hex() == float(want[1]).hex()
+        calls.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(barenco, "fill_rotations", checked)
+    monkeypatch.setattr(qsd, "fill_rotations", checked)
+    inputs = [random_unitary(n, seed) for n in (1, 2, 3, 4) for seed in range(2)]
+    inputs += [scipy.linalg.block_diag(np.eye(6), block(0.7)) for block in DEGENERATE.values()]
+    for u in inputs:
+        qrd_compile(u)
+        qsd_compile(u)
+    assert len(calls) == 2 * len(inputs) and sum(calls) > 1000

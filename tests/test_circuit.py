@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from atomqc import barenco
 from atomqc import circuit as cir
 from atomqc.exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
+from atomqc.linalg import haar_unitary
+from atomqc.quaternion import zy_angles
 from atomqc.simulate import gate_matrix
 
 
@@ -14,6 +17,28 @@ def test_rotation_angles_canonicalized():
     assert g.params[0] == pytest.approx(3 * np.pi / 2)
     # -1e-17 mod 2 pi rounds to exactly 2 pi, which must become 0.
     assert cir.rz(-1e-17, 0).params[0] == 0.0
+
+
+def _parity_angles():
+    two_pi = 2 * np.pi
+    edges = [-1e-17, -0.0, 0.0, two_pi, np.nextafter(two_pi, 0), -two_pi, 4 * np.pi + 1e-15, 1e6]
+    rng = np.random.default_rng(8)
+    us = np.array([haar_unitary(2, rng) for _ in range(250)])
+    return np.concatenate([edges, *zy_angles(us)])
+
+
+def test_array_canonicalization_matches_scalar_bit_for_bit():
+    angles = _parity_angles()
+    assert len(angles) == 1008
+    got = cir.canon_2pi(angles).tolist()
+    assert [x.hex() for x in got] == [cir._canon_2pi(a).hex() for a in angles.tolist()]
+    # The lowering's wrap phase, as arrays, is the scalar formula entry by
+    # entry (np.round keeps the sign of a zero, which math.fsum drops).
+    canon, wraps = barenco._canonical(angles)
+    assert canon.tolist() == got
+    scalar = [np.pi * round((a - cir._canon_2pi(a)) / (2 * np.pi)) for a in angles.tolist()]
+    assert wraps.tolist() == scalar
+    assert np.count_nonzero(wraps) > 100
 
 
 def test_gate_equality_with_matrices():

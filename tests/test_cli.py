@@ -106,6 +106,20 @@ def test_compile_respects_env_cap(tmp_path, capsys, monkeypatch):
     assert main(["compile", str(path)]) == EXIT_IO
 
 
+def test_width_cap_has_one_message(tmp_path, capsys, monkeypatch):
+    # A sampled width above the cap reads like a file's: "<n> qubits exceeds limit <cap>".
+    monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
+    sampled = main(["compile", "haar:9"])
+    sampled_err = capsys.readouterr().err
+    monkeypatch.setenv("ATOMQC_MAX_QUBITS", "2")
+    path, _ = _write_unitary(tmp_path, 3)
+    read = main(["compile", str(path)])
+    read_err = capsys.readouterr().err
+    assert sampled == read == EXIT_IO
+    assert sampled_err == "error: 9 qubits exceeds limit 8\n"
+    assert read_err == "error: 3 qubits exceeds limit 2\n"
+
+
 # ---------------------------------------------------------------------------
 # retarget
 # ---------------------------------------------------------------------------

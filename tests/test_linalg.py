@@ -37,6 +37,14 @@ def test_check_unitary_raises():
         check_unitary(np.diag([1.0, 1.1]))
 
 
+def test_check_unitary_stack_names_first_bad_block():
+    stack = np.array([np.eye(2), np.diag([1.0, 1j]), np.diag([1.0, 1.1]), 2 * np.eye(2)])
+    check_unitary(stack[:2], what="block")
+    with pytest.raises(NotUnitary, match=r"^block 2 is not unitary to tolerance 1e-10$"):
+        check_unitary(stack, what="block")
+    check_unitary(np.empty((0, 2, 2)))
+
+
 def test_wrap_angle_principal_branch():
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from test_compiler_inputs import DEGENERATE
 
 from atomqc import circuit as cir
+from atomqc import qrd
 from atomqc.circuit import pair_views
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
-from atomqc.linalg import phase_distance, random_unitary
+from atomqc.linalg import TOL_ZERO, phase_distance, random_unitary
 from atomqc.qrd import gcb_code, qrd_compile
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary, gate_matrix
@@ -87,6 +90,52 @@ def test_control_elimination_reduces_count():
     full = cir.gate_counts(qrd_compile(u, drop_controls=False)).entangling_total
     reduced = cir.gate_counts(qrd_compile(u, drop_controls=True)).entangling_total
     assert reduced < full
+
+
+def _reference_eliminate_controls(
+    controls, polarities, target, block, cleared_mask, matrix, n_qubits
+):
+    """The per-candidate check ``eliminate_controls`` replaced: one mix per candidate."""
+    threshold = TOL_ZERO * max(matrix.shape[0], 4)
+    for q in sorted(controls):
+        idx = controls.index(q)
+        kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
+        rows = cir.mix(block, *pair_views(matrix, *kept, target, n_qubits))
+        masks = pair_views(cleared_mask, *kept, target, n_qubits)
+        bad = max(np.abs(r[mask]).max(initial=0.0) for r, mask in zip(rows, masks))
+        if bad <= threshold:
+            controls, polarities = kept
+    return controls, polarities
+
+
+def _oracle_inputs():
+    for n, seeds in ((3, range(4)), (4, range(2)), (5, range(1))):
+        for seed in seeds:
+            yield random_unitary(n, seed)
+    for n in (2, 3, 4):
+        for block in DEGENERATE.values():
+            for psi in (0.0, np.pi, 1e-13, 0.7):
+                yield scipy.linalg.block_diag(np.eye(2**n - 2), block(psi))
+
+
+def test_control_dropping_matches_per_candidate_reference(monkeypatch):
+    # Every call made while compiling decides as the per-candidate loop does.
+    real = qrd.eliminate_controls
+    calls, dropped = [], []
+
+    def checked(controls, polarities, target, block, cleared_mask, matrix, n_qubits):
+        args = (controls, polarities, target, block, cleared_mask, matrix, n_qubits)
+        got = real(*args)
+        assert got == _reference_eliminate_controls(*args)
+        calls.append(len(controls))
+        dropped.append(len(controls) - len(got[0]))
+        return got
+
+    monkeypatch.setattr(qrd, "eliminate_controls", checked)
+    for u in _oracle_inputs():
+        qrd_compile(u, lower=False)
+    # Both outcomes occur: some controls go, some stay.
+    assert len(calls) > 500 and 0 < sum(dropped) < sum(calls)
 
 
 @pytest.mark.parametrize(

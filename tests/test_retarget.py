@@ -6,6 +6,7 @@ import pytest
 from atomqc import circuit as cir
 from atomqc import quaternion, retarget
 from atomqc.exceptions import NotUnitary, SynthesisFailure, UnsupportedGate
+from atomqc.formats import emit_sequence
 from atomqc.linalg import (
     haar_unitary,
     phase_distance,
@@ -114,6 +115,31 @@ def test_unsupported_gate_rejected():
     c = cir.Circuit(4, (cir.mcx((0, 1, 2), 3),))
     with pytest.raises(UnsupportedGate):
         retarget_circuit(c)
+
+
+def test_rewrite_memo_keys_on_polarities():
+    # A Toffoli and an MCX with a |0> control on the same qubits are
+    # different gates: the second must not reuse the first's rewrite.
+    c = cir.Circuit(3, (cir.toffoli(0, 1, 2), cir.mcx((0, 1), 2, (1, 0))))
+    with pytest.raises(UnsupportedGate):
+        retarget_circuit(c)
+
+
+def test_rewrite_memo_keeps_each_gate_output():
+    # Repeated CNOTs share one rewrite, yet the circuit retargets to the
+    # gates and SEQUENCE lines of each CNOT retargeted on its own.
+    pair = (cir.cnot(0, 1), cir.cnot(1, 0))
+    after = retarget_circuit(cir.Circuit(2, pair * 40))
+    alone = [retarget_circuit(cir.Circuit(2, (g,))) for g in pair]
+    assert after.gates == (alone[0].gates + alone[1].gates) * 40
+    header = ["SEQUENCE 1", "QUBITS 2"]
+
+    def body(c):
+        lines = emit_sequence(c).splitlines()
+        assert lines[:2] == header
+        return [line for line in lines[2:] if not line.startswith("PHASE ")]
+
+    assert body(after) == (body(alone[0]) + body(alone[1])) * 40
 
 
 def _near_equator(cos_b):
