@@ -161,6 +161,61 @@ def test_error_diagnostics_carry_line():
 
 
 @pytest.mark.parametrize(
+    "text,exc,message",
+    [
+        ("qreg q[1];\nh q[0]; $\n", QasmSyntaxError, "unexpected character '$' (line 2, col 9)"),
+        # The scan is eager: a bad character wins over an earlier syntax error.
+        ("qreg q[1]\nh q[0]; $\n", QasmSyntaxError, "unexpected character '$' (line 2, col 9)"),
+        ("qreg q[1];\nrx(.) q[0];\n", QasmSyntaxError, "unexpected character '.' (line 2, col 4)"),
+        ('qreg q[1];\ninclude "qelib1.inc;\n', QasmSyntaxError,
+         "unexpected character '\"' (line 2, col 9)"),
+        ("qreg q[1];\nh q[0] > ;\n", QasmSyntaxError, "unexpected character '>' (line 2, col 8)"),
+        ("qreg q[1];\nh q[0]; // ok $\né q[0];\n", QasmSyntaxError,
+         "unexpected character 'é' (line 3, col 1)"),
+        # At the end of input the line is the last token's.
+        ("qreg q[1];\nrx(\n\n", QasmSyntaxError, "unexpected end of input (line 2)"),
+        ("OPENQASM", QasmSyntaxError, "unexpected end of input (line 1)"),
+        ("err_syntax.qasm", QasmSyntaxError, "expected ';', got 'h' (line 3, col 1)"),
+        ("\tqreg q[1]; // note $\n  h q[0] q[0];\n", QasmSyntaxError,
+         "expected ';', got 'q' (line 2, col 10)"),
+        ("qreg q[1];\nh q[0] -> q[0];\n", QasmSyntaxError, "expected ';', got '->' (line 2, col 8)"),
+        ('qreg q[1];\ninclude "a" "b";\n', QasmSyntaxError,
+         "expected ';', got '\"b\"' (line 2, col 13)"),
+        ("qreg q[1];\nrx(1.5e) q[0];\n", QasmSyntaxError, "expected ')', got 'e' (line 2, col 7)"),
+        ("err_version.qasm", QasmSyntaxError, "unsupported version '3.0' (line 1, col 10)"),
+        ("qreg q[1];\n[ q[0];\n", QasmSyntaxError, "expected statement, got '[' (line 2, col 1)"),
+        ("qreg q[1];\n5;\n", QasmSyntaxError, "expected statement, got '5' (line 2, col 1)"),
+        ("qreg q[2];\nqreg q[1];\n", QasmSyntaxError, "register 'q' redeclared (line 2, col 6)"),
+        ("err_undeclared.qasm", UndeclaredRegister, "register 'r' not declared (line 3, col 3)"),
+        ("err_index.qasm", QasmSyntaxError,
+         "index 5 out of range for register 'q'[2] (line 3, col 5)"),
+        ("qreg q[1];\nrx(;) q[0];\n", QasmSyntaxError,
+         "bad term ';' in angle expression (line 2, col 4)"),
+        ("qreg q[1];\nrx(q) q[0];\n", QasmSyntaxError,
+         "bad term 'q' in angle expression (line 2, col 4)"),
+        ("qreg q[1];\nrx(pi/0) q[0];\n", QasmSyntaxError,
+         "division by zero in angle expression (line 2, col 6)"),
+        ("OPENQASM 2.0;\n", QasmSyntaxError, "no qreg declared (line 1)"),
+        ("err_measure.qasm", UnsupportedGate, "'measure' is not supported (line 3)"),
+        ("qreg q[1];\nreset q[0];\n", UnsupportedGate, "'reset' is not supported (line 2)"),
+        ("err_unknown_gate.qasm", UnsupportedGate,
+         "gate 'swap' with 2 qubit(s) is not supported (line 3)"),
+        ("qreg q[2];\nh q[0],q[1];\n", UnsupportedGate,
+         "gate 'h' with 2 qubit(s) is not supported (line 2)"),
+    ],
+)
+def test_diagnostic_messages(text, exc, message):
+    # Each message with its exact type, line and column; a name ending in
+    # .qasm is a corpus file.
+    if text.endswith(".qasm"):
+        text = _load(text)
+    with pytest.raises(exc) as info:
+        parse_qasm(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "angle,col",
     [
         ("1/(1e308*10)", 7),
