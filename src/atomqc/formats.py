@@ -7,7 +7,6 @@ deterministic so outputs are diff- and golden-file-friendly.
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +39,12 @@ __all__ = [
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<newline>\n)
+    [ \t\r]+ | //[^\n]* | \n  # skipped
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<op>->|[;,()\[\]+\-*/])
+  | (?P<bad>.)  # a character no token starts with
     """,
     re.VERBOSE,
 )
@@ -85,105 +83,92 @@ def u3_matrix(theta, phi, lam):
     )
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-            col += len(value)
-        else:
-            col += len(value)
-        pos = m.end()
-    return tokens
-
-
 class _Parser:
-    """Recursive-descent parser for the statement and expression grammar."""
+    """Recursive-descent parser over token texts closed by an empty-string sentinel.
+
+    A diagnostic names its token by index; ``where`` scans again for its line and column.
+    """
 
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                # The scan in ``where`` counts it as the next token.
+                raise QasmSyntaxError(f"unexpected character {m[0]!r}",
+                                      *self.where(len(self.tokens)))
+            if m.lastgroup:
+                self.tokens.append(m[0])
+        self.tokens.append("")
         self.pos = 0
 
+    def where(self, i=None):
+        """Line and column of token ``i``, by default the last one read."""
+        i = self.pos - 1 if i is None else i
+        offset = [m.start() for m in _TOKEN_RE.finditer(self.text) if m.lastgroup][i]
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
+
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            raise QasmSyntaxError("unexpected end of input", line)
-        if expect is not None and tok.text != expect:
-            raise QasmSyntaxError(f"expected {expect!r}, got {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if not tok:
+            raise QasmSyntaxError("unexpected end of input", self.where()[0] if self.pos else 1)
+        if expect is not None and tok != expect:
+            raise QasmSyntaxError(f"expected {expect!r}, got {tok!r}", *self.where(self.pos))
         self.pos += 1
         return tok
 
+    def integer(self, what, least=0):
+        tok = self.next()
+        if not tok.isdigit() or int(tok) < least:
+            raise QasmSyntaxError(f"expected {what}, got {tok!r}", *self.where())
+        return int(tok)
+
     # Expression grammar: term {(+|-) term}; term: factor {(*|/) factor};
     # factor: number | pi | ( expr ) | - factor.  Every literal and partial
-    # result must be finite (``_finite``, at the start of its subexpression).
+    # result must be finite (``finite``, at the start of its subexpression).
     def expr(self):
-        start = self.peek()
+        start = self.pos
         value = self.term()
-        while self.peek() is not None and self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self.term()
-            value = _finite(value + rhs if op == "+" else value - rhs, start)
+            value = self.finite(value + rhs if op == "+" else value - rhs, start)
         return value
 
     def term(self):
-        start = self.peek()
+        start = self.pos
         value = self.factor()
-        while self.peek() is not None and self.peek().text in ("*", "/"):
+        while self.peek() in ("*", "/"):
+            at = self.pos
             op = self.next()
             rhs = self.factor()
-            if op.text == "/" and rhs == 0:
-                raise QasmSyntaxError("division by zero in angle expression", op.line, op.col)
-            value = _finite(value * rhs if op.text == "*" else value / rhs, start)
+            if op == "/" and rhs == 0:
+                raise QasmSyntaxError("division by zero in angle expression", *self.where(at))
+            value = self.finite(value * rhs if op == "*" else value / rhs, start)
         return value
 
     def factor(self):
         tok = self.next()
-        if tok.text == "-":
+        if tok == "-":
             return -self.factor()
-        if tok.text == "(":
+        if tok == "(":
             value = self.expr()
             self.next(expect=")")
             return value
-        if tok.kind == "number":
-            return _finite(float(tok.text), tok)
-        if tok.text == "pi":
+        if tok[0].isdigit() or tok[0] == ".":
+            return self.finite(float(tok), self.pos - 1)
+        if tok == "pi":
             return math.pi
-        raise QasmSyntaxError(f"bad term {tok.text!r} in angle expression", tok.line, tok.col)
+        raise QasmSyntaxError(f"bad term {tok!r} in angle expression", *self.where())
 
-
-def _finite(value, tok):
-    """``value``, or a ``QasmSyntaxError`` at ``tok`` if it is inf or nan."""
-    if not math.isfinite(value):
-        raise QasmSyntaxError(f"angle must be finite, got {value}", tok.line, tok.col)
-    return value
-
-
-def _int_token(tok, what, least=0):
-    if tok.kind != "number" or not tok.text.isdigit() or int(tok.text) < least:
-        raise QasmSyntaxError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
-    return int(tok.text)
+    def finite(self, value, i):
+        """``value``, or a ``QasmSyntaxError`` at token ``i`` if it is inf or nan."""
+        if not math.isfinite(value):
+            raise QasmSyntaxError(f"angle must be finite, got {value}", *self.where(i))
+        return value
 
 
 def parse_qasm(text):
@@ -198,91 +183,87 @@ def parse_qasm(text):
     n_qubits = 0
     gates = []
 
-    tok = p.peek()
-    if tok is not None and tok.text == "OPENQASM":
+    if p.peek() == "OPENQASM":
         p.next()
         version = p.next()
-        if version.text != "2.0":
-            raise QasmSyntaxError(f"unsupported version {version.text!r}", version.line, version.col)
+        if version != "2.0":
+            raise QasmSyntaxError(f"unsupported version {version!r}", *p.where())
         p.next(expect=";")
 
     def register_name():
         name = p.next()
-        if name.kind != "name":
-            raise QasmSyntaxError(f"expected register name, got {name.text!r}", name.line, name.col)
+        if not name.isidentifier():
+            raise QasmSyntaxError(f"expected register name, got {name!r}", *p.where())
         return name
 
     def qubit_ref():
         name = register_name()
-        if name.text not in registers:
-            raise UndeclaredRegister(f"register {name.text!r} not declared", name.line, name.col)
+        if name not in registers:
+            raise UndeclaredRegister(f"register {name!r} not declared", *p.where())
         p.next(expect="[")
-        idx = p.next()
-        i = _int_token(idx, "qubit index")
+        i = p.integer("qubit index")
         p.next(expect="]")
-        offset, size = registers[name.text]
-        if i >= size:
+        offset, size = registers[name]
+        if i >= size:  # at the index, before the "]"
             raise QasmSyntaxError(
-                f"index {i} out of range for register {name.text!r}[{size}]", idx.line, idx.col
+                f"index {i} out of range for register {name!r}[{size}]", *p.where(p.pos - 2)
             )
         return offset + i
 
-    while p.peek() is not None:
+    while p.peek():
+        at = p.pos
         tok = p.next()
-        if tok.text == "include":
+        if tok == "include":
             p.next()  # the string literal
             p.next(expect=";")
             continue
-        if tok.text in ("qreg", "creg"):
+        if tok in ("qreg", "creg"):
             name = register_name()
             p.next(expect="[")
-            size = _int_token(p.next(), "positive register size", 1)
+            size = p.integer("positive register size", 1)
             p.next(expect="]")
             p.next(expect=";")
-            if tok.text == "creg":
+            if tok == "creg":
                 continue
-            if name.text in registers:
-                raise QasmSyntaxError(f"register {name.text!r} redeclared", name.line, name.col)
-            registers[name.text] = (n_qubits, size)
+            if name in registers:
+                raise QasmSyntaxError(f"register {name!r} redeclared", *p.where(at + 1))
+            registers[name] = (n_qubits, size)
             n_qubits += size
             continue
-        if tok.text == "barrier":
-            while p.peek() is not None and p.peek().text != ";":
-                p.next()
-            p.next(expect=";")
+        if tok == "barrier":
+            while p.next() != ";":
+                pass
             continue
-        if tok.text in ("measure", "reset", "if", "gate", "opaque"):
-            raise UnsupportedGate(f"{tok.text!r} is not supported (line {tok.line})")
-        if tok.kind != "name":
-            raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line, tok.col)
+        if tok in ("measure", "reset", "if", "gate", "opaque"):
+            raise UnsupportedGate(f"{tok!r} is not supported (line {p.where(at)[0]})")
+        if not tok.isidentifier():
+            raise QasmSyntaxError(f"expected statement, got {tok!r}", *p.where(at))
 
-        gname = tok.text
         args = []
-        if p.peek() is not None and p.peek().text == "(":
+        if p.peek() == "(":
             p.next()
-            if p.peek() is not None and p.peek().text != ")":
+            if p.peek() != ")":
                 args.append(p.expr())
-                while p.peek() is not None and p.peek().text == ",":
+                while p.peek() == ",":
                     p.next()
                     args.append(p.expr())
             p.next(expect=")")
-        spec = _QASM_GATES.get(gname)
+        spec = _QASM_GATES.get(tok)
         if spec is not None and len(args) != spec[0]:
             raise QasmSyntaxError(
-                f"{gname} takes {spec[0]} parameter(s), got {len(args)}", tok.line, tok.col
+                f"{tok} takes {spec[0]} parameter(s), got {len(args)}", *p.where(at)
             )
         qubits = [qubit_ref()]
-        while p.peek() is not None and p.peek().text == ",":
+        while p.peek() == ",":
             p.next()
-            ref = p.peek()
+            ref = p.pos
             qubits.append(qubit_ref())
             if qubits[-1] in qubits[:-1]:
-                raise QasmSyntaxError(f"{gname} repeats a qubit operand", ref.line, ref.col)
+                raise QasmSyntaxError(f"{tok} repeats a qubit operand", *p.where(ref))
         p.next(expect=";")
-
         if spec is None or len(qubits) != spec[1]:
             raise UnsupportedGate(
-                f"gate {gname!r} with {len(qubits)} qubit(s) is not supported (line {tok.line})"
+                f"gate {tok!r} with {len(qubits)} qubit(s) is not supported (line {p.where(at)[0]})"
             )
         gates.append(spec[2](args, qubits))
 

@@ -134,6 +134,15 @@ def test_retarget_bell(tmp_path, capsys):
     assert set(kinds) <= {"C", "CZ"}
 
 
+def test_retarget_crlf_bell(tmp_path, capsys):
+    path = tmp_path / "bell_crlf.qasm"
+    path.write_bytes((CORPUS / "bell.qasm").read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["retarget", str(path)]) == EXIT_OK
+    crlf = capsys.readouterr().out
+    assert main(["retarget", str(CORPUS / "bell.qasm")]) == EXIT_OK
+    assert crlf == capsys.readouterr().out
+
+
 def test_retarget_toffoli_keeps_ccz(tmp_path, capsys):
     assert main(["retarget", str(CORPUS / "toffoli.qasm")]) == EXIT_OK
     out = capsys.readouterr().out

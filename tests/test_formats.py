@@ -267,6 +267,23 @@ def test_register_name_must_be_identifier(decl):
     assert (info.value.line, info.value.col) == (2, 6)
 
 
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qasm")), ids=lambda p: p.name)
+def test_crlf_line_ends_parse_like_lf(path):
+    # A carriage return is a blank: the same gates, or the same message,
+    # line and column.
+    text = path.read_text()
+    try:
+        expect = parse_qasm(text)
+    except (QasmSyntaxError, UnsupportedGate) as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_qasm(text.replace("\n", "\r\n"))
+        assert (str(info.value), getattr(info.value, "col", None)) == (
+            str(exc), getattr(exc, "col", None))
+    else:
+        got = parse_qasm(text.replace("\n", "\r\n"))
+        assert (got.n_qubits, got.gates) == (expect.n_qubits, expect.gates)
+
+
 def test_tiny_angle_quotient_parses():
     c = parse_qasm("qreg q[1];\nrx(1e-320/1e-10) q[0];\n")
     assert c.gates[0].params[0] == 1e-320 / 1e-10
