@@ -113,12 +113,12 @@ def _mcx_ladder(gates, controls, target, idle):
 def _mcu_recursive(items, controls, target, u, n_qubits):
     """Append C^m U over {rotations, CNOT, Toffoli}, every control on |1>, as gates and slots.
 
-    A block exactly equal to X takes the cheapest C^m X: a CNOT or a
-    Toffoli, else the ladder when m - 2 qubits are idle, else the
-    square-root recursion like any other block.
+    A block that is ``cir.PAULI_X`` itself takes the cheapest C^m X: a
+    CNOT or a Toffoli, else the ladder when m - 2 qubits are idle, else
+    the square-root recursion like any other block.
     """
     m = len(controls)
-    if m and np.array_equal(u, cir.PAULI_X):
+    if m and u is cir.PAULI_X:
         if m == 1:
             items.append(cir.cnot(controls[0], target))
             return
@@ -168,6 +168,7 @@ def lower_circuit(c):
             phase += 0.0 if on_one else gamma
         elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
             controls, polarities, target, u = next(blocks)
+            u = cir.PAULI_X if np.array_equal(u, cir.PAULI_X) else u
             flips = [cir.x(q) for q, p in zip(controls, polarities) if p == 0]
             items.extend(flips)
             _mcu_recursive(items, controls, target, u, c.n_qubits)
