@@ -261,6 +261,7 @@ def parse_qasm(text):
             if qubits[-1] in qubits[:-1]:
                 raise QasmSyntaxError(f"{tok} repeats a qubit operand", *p.where(ref))
         p.next(expect=";")
+
         if spec is None or len(qubits) != spec[1]:
             raise UnsupportedGate(
                 f"gate {tok!r} with {len(qubits)} qubit(s) is not supported (line {p.where(at)[0]})"
