@@ -339,3 +339,82 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     argv = [arg.format(tmp=tmp_path, corpus=CORPUS) for arg in argv]
     assert main(argv) == code
     assert message in capsys.readouterr().err
+
+
+# One row per exit-code table entry and per failure site: the code and every
+# byte of stderr.  ``{tmp}`` and ``{corpus}`` stand for the two directories.
+@pytest.mark.parametrize(
+    "argv, env, code, stderr",
+    [
+        (["compile", "{tmp}/malformed.mat"], {}, EXIT_BAD_MATRIX,
+         "error: {tmp}/malformed.mat: row 0 has 1 entries, expected 2\n"),
+        (["compile", "{tmp}/scaled.mat"], {}, EXIT_BAD_MATRIX,
+         "error: {tmp}/scaled.mat: input matrix is not unitary to tolerance 1e-10\n"),
+        (["compile", "{tmp}/eye3.mat"], {}, EXIT_BAD_MATRIX,
+         "error: dimension 3 is not a power of two >= 2\n"),
+        (["verify", "{corpus}/bell.qasm", "{tmp}/u3q.mat"], {}, EXIT_BAD_MATRIX,
+         "error: shapes (4, 4) vs (8, 8)\n"),
+        (["retarget", "{corpus}/err_syntax.qasm"], {}, EXIT_PARSE,
+         "error: {corpus}/err_syntax.qasm: expected ';', got 'h' (line 3, col 1)\n"),
+        (["verify", "{corpus}/err_undeclared.qasm", "{tmp}/u2q.mat"], {}, EXIT_PARSE,
+         "error: {corpus}/err_undeclared.qasm: register 'r' not declared (line 3, col 3)\n"),
+        (["verify", "{tmp}/bogus.seq", "{tmp}/u2q.mat"], {}, EXIT_PARSE,
+         "error: {tmp}/bogus.seq: unknown instruction 'BOGUS' (line 3)\n"),
+        (["retarget", "{corpus}/err_measure.qasm"], {}, EXIT_PARSE,
+         "error: {corpus}/err_measure.qasm: 'measure' is not supported (line 3)\n"),
+        (["compile", "haar:9"], {}, EXIT_IO, "error: 9 qubits exceeds limit 8\n"),
+        (["compile", "haar:2"], {"ATOMQC_MAX_QUBITS": "foo"}, EXIT_IO,
+         "error: ATOMQC_MAX_QUBITS must be an integer, got 'foo'\n"),
+        (["compile", "haar:2", "--tol", "-1"], {}, EXIT_IO,
+         "error: --tol must be positive, got -1.0\n"),
+        (["compile", "{tmp}/nope.mat"], {}, EXIT_IO,
+         "error: cannot read {tmp}/nope.mat: [Errno 2] No such file or directory: "
+         "'{tmp}/nope.mat'\n"),
+        (["compile", "haar:1", "--out", "{tmp}"], {}, EXIT_IO,
+         "error: cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n"),
+        (["retarget", "{corpus}/bell.qasm", "--out", "{tmp}"], {}, EXIT_IO,
+         "error: cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n"),
+        (["bench", "--n-min", "1", "--n-max", "1", "--samples", "1", "--methods", "qsd",
+          "--out", "{tmp}"], {}, EXIT_IO,
+         "error: cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n"),
+        (["compile", "haar:2", "--seed", "-1"], {}, EXIT_IO,
+         "error: --seed must be non-negative, got -1\n"),
+        (["compile", "haar:abc"], {}, EXIT_BAD_MATRIX,
+         "error: bad matrix specifier 'haar:abc'; expected haar:<n>, n >= 1\n"),
+        (["verify", "{corpus}/bell.qasm", "haar:2"], {}, EXIT_BAD_MATRIX,
+         "error: verify needs a matrix file, got 'haar:2'\n"),
+        (["verify", "{corpus}/bell.qasm", "{tmp}/u2q.mat"], {}, EXIT_VERIFY,
+         "verification failed: distance 2.510e+00 >= 1e-07\n"),
+        (["bench", "--n-min", "3", "--n-max", "2"], {}, EXIT_IO,
+         "error: need 1 <= n-min <= n-max <= 8\n"),
+        (["bench", "--n-min", "1", "--n-max", "9"], {"ATOMQC_MAX_QUBITS": "3"}, EXIT_IO,
+         "error: need 1 <= n-min <= n-max <= 3\n"),
+        (["bench", "--n-min", "1", "--n-max", "1", "--methods", ","], {}, EXIT_IO,
+         "error: no method in --methods ','\n"),
+        (["bench", "--n-min", "1", "--n-max", "1", "--methods", "magic"], {}, EXIT_IO,
+         "error: unknown method 'magic'\n"),
+        (["compile"], {}, EXIT_IO,
+         "usage: atomqc compile [-h] [--method {{qrd,qsd}}] [--retarget] [--out PATH]\n"
+         "                      [--seed SEED] [--tol TOL] [--verify-tol VERIFY_TOL]\n"
+         "                      matrix\n"
+         "atomqc compile: error: the following arguments are required: matrix\n"),
+    ],
+)
+def test_error_lines_pinned(tmp_path, capsys, monkeypatch, argv, env, code, stderr):
+    (tmp_path / "malformed.mat").write_text("2\n1+0i\n0+0i 1+0i\n")
+    (tmp_path / "scaled.mat").write_text(write_matrix(np.eye(2) * 1.5))
+    (tmp_path / "eye3.mat").write_text(write_matrix(np.eye(3)))
+    (tmp_path / "u2q.mat").write_text(write_matrix(random_unitary(2, seed=11)))
+    (tmp_path / "u3q.mat").write_text(write_matrix(random_unitary(3, seed=0)))
+    (tmp_path / "bogus.seq").write_text("SEQUENCE 1\nQUBITS 2\nBOGUS 0\n")
+    monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.format(tmp=tmp_path, corpus=CORPUS) for arg in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().err == stderr.format(tmp=tmp_path, corpus=CORPUS)
+
+
+def test_empty_out_writes_stdout(tmp_path, capsys):
+    assert main(["retarget", str(CORPUS / "bell.qasm"), "--out", ""]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("SEQUENCE 1\n")
