@@ -35,6 +35,13 @@ EXIT_BAD_MATRIX = 2
 EXIT_VERIFY = 3
 EXIT_PARSE = 4
 
+# The exit code of each error type, read by ``main`` and ``_parse_file``;
+# any other ``AtomqcError`` exits ``EXIT_IO``.
+EXIT_CODES = {
+    **dict.fromkeys((MatrixFormatError, NotUnitary, NotPowerOfTwo, DimMismatch), EXIT_BAD_MATRIX),
+    **dict.fromkeys((QasmSyntaxError, SequenceSyntaxError, UnsupportedGate), EXIT_PARSE),
+}
+
 CSV_HEADER = (
     "method,n,seed,cnot_or_cz_count,single_qubit_count,"
     "c_pulse_count,lower_bound,distance,wall_time_s"
@@ -67,6 +74,16 @@ def csv_row(report, method_tag, seed, retargeted, wall_time):
     )
 
 
+def _fail(code, message):
+    """Print ``error: <message>`` to stderr and exit with ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _exit_code(exc):
+    return next((code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)), EXIT_IO)
+
+
 def _max_qubits(default=8):
     env = os.environ.get("ATOMQC_MAX_QUBITS")
     if env is None:
@@ -74,16 +91,14 @@ def _max_qubits(default=8):
     try:
         value = int(env)
     except ValueError:
-        print(f"error: ATOMQC_MAX_QUBITS must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _fail(EXIT_IO, f"ATOMQC_MAX_QUBITS must be an integer, got {env!r}")
     return min(max(value, 1), MAX_QUBITS)
 
 
 def _positive(name, value):
     """``value`` if it is a number above zero; otherwise exit with an error."""
     if not value > 0:  # also rejects nan
-        print(f"error: {name} must be positive, got {value}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _fail(EXIT_IO, f"{name} must be positive, got {value}")
     return value
 
 
@@ -92,17 +107,19 @@ def _read_text(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _fail(EXIT_IO, f"cannot read {path}: {exc}")
 
 
 def _write_text(path, text):
+    """Write ``text`` to the file at ``path``, or to stdout when ``path`` is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
 def _parse_circuit(text):
@@ -113,28 +130,23 @@ def _parse_circuit(text):
 
 
 def _parse_file(path, parse):
-    """``parse`` of the file at ``path``; a malformed matrix exits 2, a malformed circuit 4."""
+    """``parse`` of the file at ``path``; an error in ``EXIT_CODES`` names the path."""
     try:
         return parse(_read_text(path))
-    except (MatrixFormatError, NotUnitary, QasmSyntaxError, SequenceSyntaxError,
-            UnsupportedGate) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        bad_matrix = isinstance(exc, (MatrixFormatError, NotUnitary))
-        raise SystemExit(EXIT_BAD_MATRIX if bad_matrix else EXIT_PARSE)
+    except tuple(EXIT_CODES) as exc:
+        _fail(_exit_code(exc), f"{path}: {exc}")
 
 
 def _haar_matrix(spec, seed, max_qubits):
     """Sample the unitary named by the specifier ``haar:<n>``, n >= 1."""
     if seed < 0:
-        print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _fail(EXIT_IO, f"--seed must be non-negative, got {seed}")
     try:
         n = int(spec.split(":", 1)[1])
         if n < 1:
             raise ValueError(n)
     except ValueError:
-        print(f"error: bad matrix specifier {spec!r}; expected haar:<n>, n >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_MATRIX)
+        _fail(EXIT_BAD_MATRIX, f"bad matrix specifier {spec!r}; expected haar:<n>, n >= 1")
     return random_unitary(n, seed, max_qubits)
 
 
@@ -144,8 +156,7 @@ def _compile_one(u, method, retarget, tol, max_qubits):
     c = compiler(u, max_qubits=max_qubits)
     if retarget:
         c = retarget_circuit(c, tol)
-    wall = time.perf_counter() - start
-    return c, wall
+    return c, time.perf_counter() - start
 
 
 def cmd_compile(args):
@@ -156,17 +167,9 @@ def cmd_compile(args):
         u = _haar_matrix(args.matrix, args.seed, max_qubits)
     else:
         u = _parse_file(args.matrix, read_matrix)
-    try:
-        c, wall = _compile_one(u, args.method, args.retarget, tol, max_qubits)
-    except (NotUnitary, NotPowerOfTwo) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MATRIX
+    c, wall = _compile_one(u, args.method, args.retarget, tol, max_qubits)
     report = verify(c, u, tol=verify_tol)
-    text = emit_sequence(c) if args.retarget else render_qasm(c)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, emit_sequence(c) if args.retarget else render_qasm(c))
     method = f"{args.method} + retarget" if args.retarget else args.method
     print(report_text(report, method, wall), file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -176,17 +179,9 @@ def cmd_retarget(args):
     _positive("--tol", args.tol)
     c = _parse_file(args.qasm, parse_qasm)
     start = time.perf_counter()
-    try:
-        r = retarget_circuit(c)
-    except UnsupportedGate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    r = retarget_circuit(c)
     wall = time.perf_counter() - start
-    out_text = emit_sequence(r)
-    if args.out:
-        _write_text(args.out, out_text)
-    else:
-        sys.stdout.write(out_text)
+    _write_text(args.out, emit_sequence(r))
     if c.n_qubits <= MAX_QUBITS:
         report = verify(r, circuit_unitary(c), tol=args.tol)
         print(report_text(report, "retarget", wall), file=sys.stderr)
@@ -200,14 +195,8 @@ def cmd_verify(args):
     _positive("--tol", args.tol)
     c = _parse_file(args.circuit, _parse_circuit)
     if args.matrix.startswith("haar:"):
-        print(f"error: verify needs a matrix file, got {args.matrix!r}", file=sys.stderr)
-        return EXIT_BAD_MATRIX
-    u = _parse_file(args.matrix, read_matrix)
-    try:
-        report = verify(c, u, tol=args.tol)
-    except DimMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MATRIX
+        _fail(EXIT_BAD_MATRIX, f"verify needs a matrix file, got {args.matrix!r}")
+    report = verify(c, _parse_file(args.matrix, read_matrix), tol=args.tol)
     print(report_text(report, "", 0.0))
     if not report.passed:
         print(f"verification failed: distance {report.distance:.3e} >= {args.tol:g}",
@@ -219,20 +208,17 @@ def cmd_verify(args):
 def cmd_bench(args):
     cap = _max_qubits()
     if not 1 <= args.n_min <= args.n_max <= cap:
-        print(f"error: need 1 <= n-min <= n-max <= {cap}", file=sys.stderr)
-        return EXIT_IO
+        _fail(EXIT_IO, f"need 1 <= n-min <= n-max <= {cap}")
     _positive("--samples", args.samples)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        print(f"error: no method in --methods {args.methods!r}", file=sys.stderr)
-        return EXIT_IO
+        _fail(EXIT_IO, f"no method in --methods {args.methods!r}")
     rows = []
     for method_tag in methods:
         method, _, suffix = method_tag.partition("+")
         retarget = suffix == "retarget"
         if method not in ("qrd", "qsd") or (suffix and not retarget):
-            print(f"error: unknown method {method_tag!r}", file=sys.stderr)
-            return EXIT_IO
+            _fail(EXIT_IO, f"unknown method {method_tag!r}")
         for n in range(args.n_min, args.n_max + 1):
             for seed in range(args.samples):
                 u = random_unitary(n, seed, cap)
@@ -240,11 +226,7 @@ def cmd_bench(args):
                 row = csv_row(verify(c, u), method_tag, seed, retarget, wall)
                 rows.append((method_tag, n, seed, row))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    csv = "\n".join([CSV_HEADER] + [r[3] for r in rows]) + "\n"
-    if args.out:
-        _write_text(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+    _write_text(args.out, "\n".join([CSV_HEADER] + [r[3] for r in rows]) + "\n")
     return EXIT_OK
 
 
@@ -301,12 +283,12 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except AtomqcError as exc:
+            _fail(_exit_code(exc), exc)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
-    except AtomqcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":
