@@ -25,15 +25,6 @@ def _unitary_sqrt(u):
     return (z * roots) @ z.conj().T
 
 
-def _canonical(angles):
-    """Angles in [0, 2pi) and the phases pi * round((angle - canonical) / 2pi) keeping them exact.
-
-    Canonicalizing an angle flips the rotation's sign once per 2pi wrap.
-    """
-    canon = cir.canon_2pi(angles)
-    return canon, np.pi * np.round((angles - canon) / (2 * np.pi))
-
-
 # Each slot's gates in time order: ``(kind, angle column)`` on the target,
 # a CNOT as ``("CNOT", None)``, and column 5 on the control.  The angle
 # columns are those ``fill_rotations`` builds for the slot's kind.
@@ -67,7 +58,7 @@ def fill_rotations(items):
         [(delta - beta) / 2, -(delta + beta) / 2, -gamma / 2, gamma / 2, beta, alpha],
     )
     kept = (np.abs(angles) > TOL_ZERO) & ~skip
-    canon, wraps = _canonical(angles)
+    canon, wraps = cir.canonical_angles(angles)
     phase = math.fsum([*alpha[single].tolist(), *(alpha[~single & ~skip] / 2).tolist(),
                        *wraps[kept].tolist()])
     rows = zip(skip.tolist(), kept.T.tolist(), canon.T.tolist())

@@ -176,12 +176,14 @@ def parse_qasm(text):
 
     Registers are flattened in declaration order; u1/u2/u3/U are normalized
     at parse time (u1 to a PHASE gate, u2/u3/U to an explicit matrix) so
-    downstream passes see a single single-qubit representation.
+    downstream passes see a single single-qubit representation.  The
+    circuit phase takes the sign of each rx/ry/rz angle's 2pi wraps.
     """
     p = _Parser(text)
     registers = {}  # name -> (offset, size)
     n_qubits = 0
     gates = []
+    wraps = []
 
     if p.peek() == "OPENQASM":
         p.next()
@@ -267,10 +269,12 @@ def parse_qasm(text):
                 f"gate {tok!r} with {len(qubits)} qubit(s) is not supported (line {p.where(at)[0]})"
             )
         gates.append(spec[2](args, qubits))
+        if tok in ("rx", "ry", "rz"):
+            wraps.append(cir.canonical_angles(args[0])[1])
 
     if n_qubits == 0:
         raise QasmSyntaxError("no qreg declared", 1)
-    return cir.Circuit(n_qubits, tuple(gates))
+    return cir.Circuit(n_qubits, tuple(gates), math.fsum(wraps))
 
 
 def _fmt(x):

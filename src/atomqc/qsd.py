@@ -8,6 +8,8 @@ rotations and CNOT, and the CNOT count follows c_n = 4 c_{n-1} + 3 * 2^{n-1}
 exactly for non-degenerate inputs.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -52,34 +54,31 @@ def multiplexer_angles(thetas):
 
 
 def synth_multiplexed_rotation(axis, controls, target, thetas):
-    """Rotation/CNOT ladder implementing a multiplexed rotation exactly.
+    """Rotation/CNOT ladder implementing a multiplexed rotation exactly: ``(gates, phase)``.
 
     ``thetas[b]`` is the angle of the ``axis`` ("Y" or "Z") rotation on
     ``target`` when the controls (listed most significant first) are in
     basis state ``b``.  For k controls: 2^k rotations interleaved with 2^k
     CNOTs whose controls follow the Gray-code change positions; k = 0
-    degenerates to one rotation.
+    degenerates to one rotation.  ``phase`` is the wrap phase of the
+    rotations' canonical angles (``canonical_angles``), so e^{i phase}
+    times the gates is the multiplexed rotation.
     """
     k = len(controls)
     if axis not in ("Y", "Z") or len(thetas) != 2**k:
         raise ValueError("need axis Y or Z and one angle per control basis state")
-    rotation = {"Y": cir.ry, "Z": cir.rz}[axis]
-    if k == 0:
-        return (rotation(thetas[0], target),)
-    alphas = multiplexer_angles(thetas)
-    gates = []
-    for g in range(2**k):
-        gates.append(rotation(alphas[g], target))
-        nxt = gcb_code(g) ^ gcb_code((g + 1) % 2**k)
-        bit = nxt.bit_length() - 1  # position from the LSB of the pattern
-        gates.append(cir.cnot(controls[k - 1 - bit], target))
-    return tuple(gates)
-
-
-def _mux_rotation_gates(axis, controls, target, thetas):
-    if np.max(np.abs(thetas)) < TOL_ZERO:
-        return ()
-    return synth_multiplexed_rotation(axis, controls, target, thetas)
+    gates, wraps = [], []
+    # One scalar canonicalization per rotation: an array pass per ladder
+    # costs more than the ladder's few rotations at small k.
+    for g, alpha in enumerate(multiplexer_angles(thetas).tolist()):
+        angle, wrap = cir.canonical_angles(alpha)
+        gates.append(cir.Gate("R" + axis, (target,), (angle,)))
+        wraps.append(wrap)
+        if k:
+            nxt = gcb_code(g) ^ gcb_code((g + 1) % 2**k)
+            bit = nxt.bit_length() - 1  # position from the LSB of the pattern
+            gates.append(cir.cnot(controls[k - 1 - bit], target))
+    return tuple(gates), math.fsum(wraps)
 
 
 def qsd_compile(u, *, max_qubits=MAX_QUBITS):
@@ -94,6 +93,13 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
     n = qubit_count(u.shape[0], max_qubits)
 
     items = []
+    wraps = []  # each ladder's phase
+
+    def ladder(axis, controls, target, thetas):
+        if np.max(np.abs(thetas)) >= TOL_ZERO:
+            gates, phase = synth_multiplexed_rotation(axis, controls, target, thetas)
+            items.extend(gates)
+            wraps.append(phase)
 
     def descend(block, qubits):
         if np.max(np.abs(block - np.eye(block.shape[0]))) < _IDENTITY_EPS:
@@ -106,7 +112,7 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
         lower = qubits[1:]
         # Time order is right to left: diag(a2,b2), middle RY, diag(a1,b1).
         emit_multiplexer(csd.a2, csd.b2, select, lower)
-        items.extend(_mux_rotation_gates("Y", lower, select, 2.0 * csd.thetas))
+        ladder("Y", lower, select, 2.0 * csd.thetas)
         emit_multiplexer(csd.a1, csd.b1, select, lower)
 
     def emit_multiplexer(a, b, select, lower):
@@ -116,10 +122,9 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
             return
         dm = demultiplex(a, b)
         descend(dm.w, lower)
-        items.extend(
-            _mux_rotation_gates("Z", lower, select, -2.0 * dm.d_phases)
-        )
+        ladder("Z", lower, select, -2.0 * dm.d_phases)
         descend(dm.v, lower)
 
     descend(u, tuple(range(n)))
-    return cir.Circuit(n, *fill_rotations(items))
+    gates, phase = fill_rotations(items)
+    return cir.Circuit(n, gates, phase + math.fsum(wraps))

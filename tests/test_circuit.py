@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from atomqc import barenco
 from atomqc import circuit as cir
 from atomqc.exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
 from atomqc.linalg import haar_unitary
@@ -34,11 +33,20 @@ def test_array_canonicalization_matches_scalar_bit_for_bit():
     assert [x.hex() for x in got] == [cir._canon_2pi(a).hex() for a in angles.tolist()]
     # The lowering's wrap phase, as arrays, is the scalar formula entry by
     # entry (np.round keeps the sign of a zero, which math.fsum drops).
-    canon, wraps = barenco._canonical(angles)
+    canon, wraps = cir.canonical_angles(angles)
     assert canon.tolist() == got
     scalar = [np.pi * round((a - cir._canon_2pi(a)) / (2 * np.pi)) for a in angles.tolist()]
     assert wraps.tolist() == scalar
     assert np.count_nonzero(wraps) > 100
+
+
+def test_canonical_angles_of_a_float_match_the_array():
+    angles = _parity_angles()
+    canon, wraps = cir.canonical_angles(angles)
+    pairs = [cir.canonical_angles(a) for a in angles.tolist()]
+    assert [c.hex() for c, _ in pairs] == [c.hex() for c in canon.tolist()]
+    assert [w for _, w in pairs] == wraps.tolist()
+    assert all(type(c) is float and type(w) is float for c, w in pairs)
 
 
 def test_gate_equality_with_matrices():

@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomqc import circuit as cir
-from atomqc.linalg import TOL_UNITARY, haar_unitary, unitarity_defect
+from atomqc.linalg import TOL_UNITARY, haar_unitary, random_unitary, unitarity_defect
 from atomqc.qrd import qrd_compile
 from atomqc.qsd import qsd_compile
 from atomqc.retarget import retarget_circuit
-from atomqc.simulate import verify
+from atomqc.simulate import circuit_unitary, verify
 
 PI = np.pi
 NATIVE = {"C", "CZ", "CCZ"}
@@ -147,3 +147,15 @@ def test_structured_input_compiles_exactly(family, data):
         assert report.distance < RETARGET_TOL, compiler.__name__
         if compiler is qsd_compile:
             assert cir.gate_counts(c).get("CNOT") <= _qsd_law(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("compiler", [qrd_compile, qsd_compile], ids=["qrd", "qsd"])
+def test_haar_exact_including_global_phase(compiler, n):
+    # A rotation angle wrapped into [0, 2pi) flips the rotation's sign; the
+    # circuit phase must carry that, so no phase freedom is allowed here.
+    for seed in range(10):
+        u = random_unitary(n, seed=seed)
+        c = compiler(u)
+        for circuit in (c, retarget_circuit(c)):
+            assert np.max(np.abs(circuit_unitary(circuit) - u)) < 1e-9, seed

@@ -85,6 +85,19 @@ def test_rotations_expression_grammar():
     assert params[5] == pytest.approx(0.125)
 
 
+
+def test_wrapped_rotations_keep_their_sign():
+    # ry(-pi/4) is stored as ry(7pi/4) = -ry(-pi/4); the circuit phase takes the pi.
+    steps = [("X", np.pi / 2), ("Y", -np.pi / 4), ("Z", 3 * np.pi / 4), ("X", np.pi / 4),
+             ("Y", np.pi / 3), ("Z", 0.125)]
+    expect = np.eye(2)
+    for axis, theta in steps:
+        expect = cir.rotation_matrix(axis, theta) @ expect
+    got = circuit_unitary(parse_qasm(_load("rotations.qasm")))
+    assert np.max(np.abs(got - expect)) < 1e-12
+    got = circuit_unitary(parse_qasm("qreg q[1];\nrx(-0.5) q[0];\n"))
+    assert np.max(np.abs(got - cir.rotation_matrix("X", -0.5))) < 1e-12
+
 def test_cliffords_become_phase_gates():
     c = parse_qasm(_load("cliffords.qasm"))
     phases = [g.params[0] for g in c.gates if g.kind == "PHASE"]

@@ -38,10 +38,11 @@ def test_multiplexer_angles_bad_length():
 @pytest.mark.parametrize("axis", ["Y", "Z"])
 def test_multiplexed_rotation_matches_block_diagonal(k, axis):
     thetas = RNG.uniform(-np.pi, np.pi, 2**k)
-    gates = synth_multiplexed_rotation(axis, tuple(range(k)), k, thetas)
-    got = circuit_unitary(cir.Circuit(k + 1, gates))
+    gates, phase = synth_multiplexed_rotation(axis, tuple(range(k)), k, thetas)
+    got = circuit_unitary(cir.Circuit(k + 1, gates, phase))
     expect = scipy.linalg.block_diag(*[rotation_matrix(axis, t) for t in thetas])
     assert phase_distance(got, expect) < 1e-12
+    assert np.max(np.abs(got - expect)) < 1e-12
     cnots = [g for g in gates if g.kind == "CNOT"]
     assert len(cnots) == (2**k if k else 0)
 
