@@ -121,7 +121,12 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     )
                 rows_a, rows_b = cir.pair_views(m, controls, pol, target, n)
                 rows_a[...], rows_b[...] = cir.mix(block, rows_a, rows_b)
-                emitted.append(cir.mcu(controls, target, block.conj().T, pol))
+                # Unitary by construction, so built without ``cir.mcu``'s check.
+                dagger = block.conj().T
+                emitted.append(
+                    cir.Gate("MCU", controls + (target,), matrix=dagger, polarities=pol)
+                    if controls else cir.Gate("U1", (target,), matrix=dagger)
+                )
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).
         cleared[:, col] = True
