@@ -46,7 +46,7 @@ _TOKEN_RE = re.compile(
   | (?P<op>->|[;,()\[\]+\-*/])
   | (?P<bad>.)  # a character no token starts with
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # OpenQASM 2.0 numbers are ASCII, so \d is [0-9]
 )
 
 # name -> (parameter count, qubit count, builder(params, qubits)), after the
@@ -344,6 +344,10 @@ def _seq_fields(raw, lineno, mnemonic, n_int, n_float):
         raise SequenceSyntaxError(
             f"{mnemonic} takes {n_int + n_float} argument(s), got {len(parts) - 1}", lineno
         )
+    # ``int`` and ``float`` also read other Unicode digits and "1_0".
+    if not raw.isascii() or "_" in raw:
+        raise SequenceSyntaxError(f"{mnemonic} arguments must be ASCII numbers without '_'",
+                                  lineno)
     try:
         ints = [int(p) for p in parts[1 : 1 + n_int]]
         floats = [float(p) for p in parts[1 + n_int :]]
@@ -412,9 +416,12 @@ def parse_sequence(text):
 # Matrix files
 # ---------------------------------------------------------------------------
 
+# ASCII only: ``int`` and ``\d`` also read other Unicode digits, and ``int`` "1_0".
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _ENTRY_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$"
+    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$",
+    re.ASCII,
 )
 
 
@@ -435,10 +442,9 @@ def read_matrix(text):
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")
-    try:
-        dim = int(lines[0])
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad dimension line {lines[0]!r}") from exc
+    if not _INT_RE.fullmatch(lines[0]):
+        raise MatrixFormatError(f"bad dimension line {lines[0]!r}")
+    dim = int(lines[0])
     if dim < 1:
         raise MatrixFormatError(f"dimension must be positive, got {dim}")
     if len(lines) != dim + 1:

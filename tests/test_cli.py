@@ -418,3 +418,16 @@ def test_error_lines_pinned(tmp_path, capsys, monkeypatch, argv, env, code, stde
 def test_empty_out_writes_stdout(tmp_path, capsys):
     assert main(["retarget", str(CORPUS / "bell.qasm"), "--out", ""]) == EXIT_OK
     assert capsys.readouterr().out.startswith("SEQUENCE 1\n")
+
+
+
+def test_non_ascii_numbers_exit_codes(tmp_path, capsys):
+    mat = tmp_path / "digits.mat"
+    mat.write_text("\u0661\n\u0661+0i\n", encoding="utf-8")
+    assert main(["compile", str(mat)]) == EXIT_BAD_MATRIX
+    assert capsys.readouterr().err == f"error: {mat}: bad dimension line '\u0661'\n"
+    seq = tmp_path / "underscore.seq"
+    seq.write_text("SEQUENCE 1\nQUBITS 1\nC 0 1_0 0\n")
+    assert main(["verify", str(seq), str(mat)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {seq}: C arguments must be ASCII numbers without '_' (line 3)\n")

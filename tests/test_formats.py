@@ -521,3 +521,49 @@ def test_matrix_unitarity_check():
     text = write_matrix(np.eye(2) * 1.5)
     with pytest.raises(NotUnitary):
         read_matrix(text)
+
+
+
+# ---------------------------------------------------------------------------
+# Numbers are ASCII in all three formats
+# ---------------------------------------------------------------------------
+
+_NOT_ASCII_NUMBERS = "arguments must be ASCII numbers without '_'"
+
+
+@pytest.mark.parametrize(
+    "parse, text, exc, message",
+    [
+        (parse_qasm, "qreg q[\u0663];\nrx(\u0661.5) q[\u0662];\n", QasmSyntaxError,
+         "unexpected character '\u0663' (line 1, col 8)"),
+        (parse_qasm, "qreg q[1];\nrx(\u0661.5) q[0];\n", QasmSyntaxError,
+         "unexpected character '\u0661' (line 2, col 4)"),
+        (read_matrix, "\u0661\n\u0661+0i\n", MatrixFormatError,
+         "bad dimension line '\u0661'"),
+        (read_matrix, "0_1\n1+0i\n", MatrixFormatError, "bad dimension line '0_1'"),
+        (read_matrix, "1\n\u0661+0i\n", MatrixFormatError,
+         "bad entry '\u0661+0i' at row 0, column 0"),
+        (parse_sequence, "SEQUENCE \u0661\nQUBITS 1\n", SequenceSyntaxError,
+         f"SEQUENCE {_NOT_ASCII_NUMBERS} (line 1)"),
+        (parse_sequence, "SEQUENCE 1\nQUBITS \u0661\n", SequenceSyntaxError,
+         f"QUBITS {_NOT_ASCII_NUMBERS} (line 2)"),
+        (parse_sequence, "SEQUENCE 1\nQUBITS 1\nC \u0660 0.5 0\n", SequenceSyntaxError,
+         f"C {_NOT_ASCII_NUMBERS} (line 3)"),
+        (parse_sequence, "SEQUENCE 1\nQUBITS 1\nC 0 1_0 0\n", SequenceSyntaxError,
+         f"C {_NOT_ASCII_NUMBERS} (line 3)"),
+        (parse_sequence, "SEQUENCE 1\nQUBITS 1\nPHASE 1_000.5\n", SequenceSyntaxError,
+         f"PHASE {_NOT_ASCII_NUMBERS} (line 3)"),
+    ],
+)
+def test_numbers_must_be_ascii(parse, text, exc, message):
+    with pytest.raises(exc) as info:
+        parse(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_sequence_integer_may_carry_a_sign():
+    # int() reads a leading sign; "+1" is qubit 1, and "-1" fails the range check.
+    assert parse_sequence("SEQUENCE 1\nQUBITS 2\nCZ 0 +1\n").gates == (cir.cz(0, 1),)
+    with pytest.raises(SequenceSyntaxError, match="qubit -1 outside width 2"):
+        parse_sequence("SEQUENCE 1\nQUBITS 2\nCZ 0 -1\n")
