@@ -11,7 +11,6 @@ Conventions, used everywhere in the package:
 Gates and circuits are immutable value types.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -46,15 +45,14 @@ def canon_2pi(angles):
 def canonical_angles(angles):
     """Angles in [0, 2pi), and the phases pi * round((angle - canonical) / 2pi) keeping them exact.
 
-    RX/RY/RZ/C(theta + 2pi) is minus RX/RY/RZ/C(theta): each 2pi wrap flips
-    the sign, which the circuit phase must take.  A float array gives two
-    arrays (``canon_2pi``); a float gives two floats, entry for entry the same.
+    RX/RY/RZ/C(theta + 2pi) = -RX/RY/RZ/C(theta): a circuit's phase takes the pi
+    of each wrap.  A float array gives two arrays, a float two floats, alike.
     """
     if isinstance(angles, np.ndarray):
         canon = canon_2pi(angles)
         return canon, np.pi * np.round((angles - canon) / (2 * np.pi))
     canon = _canon_2pi(angles)
-    return canon, math.pi * round((angles - canon) / (2 * math.pi))
+    return canon, np.pi * round((angles - canon) / (2 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,10 +344,8 @@ def _seq_fields(raw, lineno, mnemonic, n_int, n_float):
         raise SequenceSyntaxError(
             f"{mnemonic} takes {n_int + n_float} argument(s), got {len(parts) - 1}", lineno
         )
-    # ``int`` and ``float`` also read other Unicode digits and "1_0".
-    if not raw.isascii() or "_" in raw:
-        raise SequenceSyntaxError(f"{mnemonic} arguments must be ASCII numbers without '_'",
-                                  lineno)
+    if not raw.isascii() or "_" in raw:  # int() and float() also read other digits and "1_0"
+        raise SequenceSyntaxError(f"{mnemonic} arguments must be ASCII numbers without '_'", lineno)
     try:
         ints = [int(p) for p in parts[1 : 1 + n_int]]
         floats = [float(p) for p in parts[1 + n_int :]]
@@ -416,12 +414,10 @@ def parse_sequence(text):
 # Matrix files
 # ---------------------------------------------------------------------------
 
-# ASCII only: ``int`` and ``\d`` also read other Unicode digits, and ``int`` "1_0".
-_INT_RE = re.compile(r"[+-]?[0-9]+")
 _ENTRY_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$",
-    re.ASCII,
+    re.ASCII,  # \d would also match other Unicode digits
 )
 
 
@@ -442,7 +438,7 @@ def read_matrix(text):
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")
-    if not _INT_RE.fullmatch(lines[0]):
+    if not re.fullmatch(r"[+-]?[0-9]+", lines[0]):  # int() also reads other digits and "1_0"
         raise MatrixFormatError(f"bad dimension line {lines[0]!r}")
     dim = int(lines[0])
     if dim < 1:

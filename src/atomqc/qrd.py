@@ -121,12 +121,9 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     )
                 rows_a, rows_b = cir.pair_views(m, controls, pol, target, n)
                 rows_a[...], rows_b[...] = cir.mix(block, rows_a, rows_b)
-                # Unitary by construction, so built without ``cir.mcu``'s check.
-                dagger = block.conj().T
-                emitted.append(
-                    cir.Gate("MCU", controls + (target,), matrix=dagger, polarities=pol)
-                    if controls else cir.Gate("U1", (target,), matrix=dagger)
-                )
+                # Unitary by construction, so no ``cir.mcu`` check; a U1 if no control is left.
+                emitted.append(cir.Gate("MCU" if controls else "U1", controls + (target,),
+                                        matrix=block.conj().T, polarities=pol or None))
             cleared[b, col] = True
         # Column done: its off-diagonal row entries vanish too (unitarity).
         cleared[:, col] = True

@@ -237,7 +237,7 @@ def test_gate_matrix_matches_projector_reference(n):
 )
 def test_circuit_unitary_matches_projector_reference(name):
     c = parse_qasm((CORPUS / name).read_text())
-    expect = np.eye(2**c.n_qubits, dtype=complex)
+    expect = np.exp(1j * c.global_phase) * np.eye(2**c.n_qubits, dtype=complex)
     for g in c.gates:
         expect = _reference_matrix(g, c.n_qubits) @ expect
     assert np.max(np.abs(circuit_unitary(c) - expect)) < 1e-12
