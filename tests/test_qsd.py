@@ -14,6 +14,7 @@ from atomqc.qsd import (
     qsd_compile,
     synth_multiplexed_rotation,
 )
+from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary
 
 RNG = np.random.default_rng(7)
@@ -68,6 +69,32 @@ def test_cnot_recurrence(n, count):
     u = random_unitary(n, seed=n + 20)
     c = qsd_compile(u)
     assert cir.gate_counts(c).get("CNOT") == count
+
+
+@pytest.mark.parametrize(
+    "n,counts",
+    [
+        (1, (3, 0, 1, 2, 0, 2)),
+        (2, (24, 6, 6, 12, 6, 17)),
+        (3, (120, 36, 28, 56, 36, 83)),
+        (4, (528, 168, 120, 240, 168, 359)),
+        (5, (2208, 720, 496, 992, 720, 1487)),
+    ],
+)
+def test_gate_counts_pinned(n, counts):
+    # Gates, CNOTs, RYs and RZs, then the native CZs and C pulses: a rewrite
+    # of the recursion, the ladders or retarget must keep all six.
+    c = qsd_compile(random_unitary(n, seed=0))
+    native = cir.gate_counts(retarget_circuit(c))
+    got = cir.gate_counts(c)
+    assert (
+        len(c.gates),
+        got.get("CNOT"),
+        got.get("RY"),
+        got.get("RZ"),
+        native.get("CZ"),
+        native.get("C"),
+    ) == counts
 
 
 def test_gate_kinds_are_lowered():

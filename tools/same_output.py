@@ -13,6 +13,8 @@ Four digests, one line each:
 Inputs: Haar unitaries (``random_unitary``) on n = 1..5 qubits, seeds 0-9,
 through QRD (lowered, unlowered, and lowered without control dropping) and
 QSD; each lowered circuit also goes through retarget and SEQUENCE output.
+QSD also compiles seed 0 at n = 6 and 7, where its deepest ladders (5 and 6
+controls) occur, with and without retarget.
 Every OpenQASM file of ``tests/qasm_corpus`` that parses is parsed, rendered
 back to QASM (the ``// global phase`` comment becomes the reparsed circuit's
 phase), and retargeted.  The ``diagnostics`` texts are 200,000 strings over
@@ -73,6 +75,11 @@ def outputs():
                 if name != "qrd-unlowered":
                     native = retarget_circuit(c)
                     yield f"{name} n={n} seed={seed} native", native, emit_sequence(native)
+    for n in (6, 7):
+        c = qsd_compile(random_unitary(n, 0))
+        yield f"qsd n={n} seed=0", c, None
+        native = retarget_circuit(c)
+        yield f"qsd n={n} seed=0 native", native, emit_sequence(native)
     for path in sorted((ROOT / "tests" / "qasm_corpus").glob("*.qasm")):
         try:
             c = parse_qasm(path.read_text(encoding="utf-8"))
