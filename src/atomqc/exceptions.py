@@ -9,10 +9,6 @@ class NotUnitary(AtomqcError):
     pass
 
 
-class OddDimension(AtomqcError):
-    pass
-
-
 class NotPowerOfTwo(AtomqcError):
     pass
 
@@ -22,10 +18,6 @@ class DimMismatch(AtomqcError):
 
 
 class SizeTooLarge(AtomqcError):
-    pass
-
-
-class EigenFailure(AtomqcError):
     pass
 
 

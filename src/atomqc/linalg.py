@@ -1,35 +1,20 @@
 """Dense complex linear algebra shared by every compiler stage.
 
 All matrices are plain ``numpy.ndarray`` of complex128.  Qubit-facing
-callers use dimensions that are powers of two; the routines here only
-require what each factorization needs (CSD accepts any even dimension).
+callers use dimensions that are powers of two.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
-from .exceptions import (
-    DimMismatch,
-    EigenFailure,
-    NotPowerOfTwo,
-    NotUnitary,
-    OddDimension,
-    SizeTooLarge,
-)
+from .exceptions import DimMismatch, NotPowerOfTwo, NotUnitary, SizeTooLarge
 
 __all__ = [
     "TOL_UNITARY",
     "TOL_ZERO",
     "MAX_QUBITS",
-    "CsdResult",
-    "DemuxResult",
     "unitarity_defect",
     "is_unitary",
     "check_unitary",
-    "cs_decompose",
-    "demultiplex",
     "random_unitary",
     "phase_distance",
     "qubit_count",
@@ -85,79 +70,6 @@ def wrap_angle(x):
     # Just above pi the modulo rounds up to exactly 2 pi, which gives -pi.
     y = np.where(y == -np.pi, np.pi, y)
     return y if np.ndim(x) else float(y)
-
-
-@dataclass(frozen=True)
-class CsdResult:
-    """Cosine-sine factorization ``U = diag(a1,b1) @ [[C,-S],[S,C]] @ diag(a2,b2)``."""
-
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    thetas: np.ndarray
-
-    def middle(self):
-        c = np.diag(np.cos(self.thetas))
-        s = np.diag(np.sin(self.thetas))
-        return np.block([[c, -s], [s, c]])
-
-    def reconstruct(self):
-        left = scipy.linalg.block_diag(self.a1, self.b1)
-        right = scipy.linalg.block_diag(self.a2, self.b2)
-        return left @ self.middle() @ right
-
-
-def cs_decompose(u):
-    """Cosine-sine decomposition with equal block sizes.
-
-    Returns blocks sharing a single theta vector with all angles in
-    [0, pi/2]; validated through the reconstruction contract.
-    """
-    u = np.asarray(u, dtype=complex)
-    check_unitary(u)
-    dim = u.shape[0]
-    if dim % 2:
-        raise OddDimension(f"CSD needs even dimension, got {dim}")
-    half = dim // 2
-    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
-    return CsdResult(a1=u1, b1=u2, a2=v1h, b2=v2h, thetas=np.asarray(theta, dtype=float))
-
-
-@dataclass(frozen=True)
-class DemuxResult:
-    """Factorization ``A = V D W`` and ``B = V D^dagger W`` with ``D = diag(e^{i phi_k})``."""
-
-    v: np.ndarray
-    w: np.ndarray
-    d_phases: np.ndarray
-
-    def d(self):
-        return np.diag(np.exp(1j * self.d_phases))
-
-
-def demultiplex(a, b):
-    """Split a block-diagonal pair via the eigendecomposition of ``A B^dagger``.
-
-    ``A B^dagger`` is unitary, hence normal; a complex Schur decomposition
-    yields a unitary eigenbasis even for degenerate eigenvalues.  ``D`` takes
-    the principal square root of the eigenvalues.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} vs {b.shape}")
-    check_unitary(a, "A")
-    check_unitary(b, "B")
-    try:
-        t, v = scipy.linalg.schur(a @ b.conj().T, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails here
-        raise EigenFailure(str(exc)) from exc
-    # Principal branch: eigenphases of D^2 in (-pi, pi], halved.
-    phases = np.angle(np.diagonal(t)) / 2.0
-    d = np.exp(1j * phases)
-    w = np.diag(d) @ v.conj().T @ b
-    return DemuxResult(v=v, w=w, d_phases=phases)
 
 
 def haar_unitary(dim, rng):

@@ -8,7 +8,9 @@ rotations and CNOT, and the CNOT count follows c_n = 4 c_{n-1} + 3 * 2^{n-1}
 exactly for non-degenerate inputs.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -16,8 +18,7 @@ import scipy.linalg
 from . import circuit as cir
 from .barenco import fill_rotations
 from .exceptions import LengthNotPowerOfTwo
-from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, cs_decompose, demultiplex, qubit_count
-from .qrd import gcb_code
+from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, qubit_count
 
 __all__ = [
     "multiplexer_angles",
@@ -28,12 +29,20 @@ __all__ = [
 _IDENTITY_EPS = 1e-13
 
 
+@functools.lru_cache(maxsize=None)
+def _gray_codes(k):
+    """The Gray codes ``g ^ (g >> 1)`` of g = 0 .. 2^k - 1, in order."""
+    return tuple(g ^ (g >> 1) for g in range(2**k))
+
+
+@functools.lru_cache(maxsize=None)
 def _gray_walsh_matrix(k):
-    """The sign matrix ``M`` of ``multiplexer_angles``: Hadamard columns in Gray order."""
-    g = np.arange(2**k)
+    """The read-only sign matrix ``M`` of ``multiplexer_angles``: Hadamard columns in Gray order."""
     # np.take returns C order (indexing [:, g] gives Fortran order, which
     # changes the order in which BLAS sums the angle products).
-    return np.take(scipy.linalg.hadamard(2**k, dtype=float), g ^ (g >> 1), axis=1)
+    m = np.take(scipy.linalg.hadamard(2**k, dtype=float), _gray_codes(k), axis=1)
+    m.flags.writeable = False
+    return m
 
 
 def multiplexer_angles(thetas):
@@ -68,6 +77,7 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
     if axis not in ("Y", "Z") or len(thetas) != 2**k:
         raise ValueError("need axis Y or Z and one angle per control basis state")
     gates, wraps = [], []
+    codes = _gray_codes(k)
     # One scalar canonicalization per rotation: an array pass per ladder
     # costs more than the ladder's few rotations at small k.
     for g, alpha in enumerate(multiplexer_angles(thetas).tolist()):
@@ -75,10 +85,71 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
         gates.append(cir.Gate("R" + axis, (target,), (angle,)))
         wraps.append(wrap)
         if k:
-            nxt = gcb_code(g) ^ gcb_code((g + 1) % 2**k)
+            nxt = codes[g] ^ codes[(g + 1) % 2**k]
             bit = nxt.bit_length() - 1  # position from the LSB of the pattern
             gates.append(cir.cnot(controls[k - 1 - bit], target))
     return tuple(gates), math.fsum(wraps)
+
+
+@dataclass(frozen=True)
+class CsdResult:
+    """Cosine-sine factorization ``U = diag(a1,b1) @ [[C,-S],[S,C]] @ diag(a2,b2)``."""
+
+    a1: np.ndarray
+    b1: np.ndarray
+    a2: np.ndarray
+    b2: np.ndarray
+    thetas: np.ndarray
+
+    def middle(self):
+        c = np.diag(np.cos(self.thetas))
+        s = np.diag(np.sin(self.thetas))
+        return np.block([[c, -s], [s, c]])
+
+    def reconstruct(self):
+        left = scipy.linalg.block_diag(self.a1, self.b1)
+        right = scipy.linalg.block_diag(self.a2, self.b2)
+        return left @ self.middle() @ right
+
+
+def _cs_decompose(u):
+    """Cosine-sine decomposition with equal block sizes.
+
+    Returns blocks sharing a single theta vector with all angles in
+    [0, pi/2].  Unchecked: ``qsd_compile`` checks its input, and every
+    block it passes on is unitary by construction.
+    """
+    half = u.shape[0] // 2
+    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
+    return CsdResult(a1=u1, b1=u2, a2=v1h, b2=v2h, thetas=np.asarray(theta, dtype=float))
+
+
+@dataclass(frozen=True)
+class DemuxResult:
+    """Factorization ``A = V D W`` and ``B = V D^dagger W`` with ``D = diag(e^{i phi_k})``."""
+
+    v: np.ndarray
+    w: np.ndarray
+    d_phases: np.ndarray
+
+    def d(self):
+        return np.diag(np.exp(1j * self.d_phases))
+
+
+def _demultiplex(a, b):
+    """Split a block-diagonal pair via the eigendecomposition of ``A B^dagger``.
+
+    ``A B^dagger`` is unitary, hence normal; a complex Schur decomposition
+    yields a unitary eigenbasis even for degenerate eigenvalues.  ``D`` takes
+    the principal square root of the eigenvalues.  Unchecked, as
+    ``_cs_decompose``.
+    """
+    t, v = scipy.linalg.schur(a @ b.conj().T, output="complex")
+    # Principal branch: eigenphases of D^2 in (-pi, pi], halved.
+    phases = np.angle(np.diagonal(t)) / 2.0
+    d = np.exp(1j * phases)
+    w = np.diag(d) @ v.conj().T @ b
+    return DemuxResult(v=v, w=w, d_phases=phases)
 
 
 def qsd_compile(u, *, max_qubits=MAX_QUBITS):
@@ -107,7 +178,7 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
         if len(qubits) == 1:
             items.append((None, qubits[0], block))
             return
-        csd = cs_decompose(block)
+        csd = _cs_decompose(block)
         select = qubits[0]
         lower = qubits[1:]
         # Time order is right to left: diag(a2,b2), middle RY, diag(a1,b1).
@@ -120,7 +191,7 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
             # Same block on both select states: no multiplexing needed.
             descend(a, lower)
             return
-        dm = demultiplex(a, b)
+        dm = _demultiplex(a, b)
         descend(dm.w, lower)
         ladder("Z", lower, select, -2.0 * dm.d_phases)
         descend(dm.v, lower)

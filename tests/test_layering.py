@@ -106,6 +106,18 @@ def test_formats_imports_no_compiler():
     assert not imported & {"atomqc.barenco", "atomqc.qrd", "atomqc.qsd"}
 
 
+def test_qsd_imports_no_other_compiler():
+    # QSD takes its Gray codes from its own ladder code, not from QRD.
+    imported = _imports(SRC / "qsd.py")
+    assert not {name for name in imported if name.startswith("atomqc.qrd")}
+
+
+def test_linalg_imports_no_scipy():
+    # The shared layer is numpy only; the factorizations live with QSD.
+    imported = _imports(SRC / "linalg.py")
+    assert not {name for name in imported if name.split(".")[0] == "scipy"}
+
+
 def _private_uses(path):
     """``_``-prefixed names a module takes from another atomqc module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

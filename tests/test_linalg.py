@@ -8,13 +8,10 @@ import pytest
 from atomqc.exceptions import (
     DimMismatch,
     NotUnitary,
-    OddDimension,
     SizeTooLarge,
 )
 from atomqc.linalg import (
     check_unitary,
-    cs_decompose,
-    demultiplex,
     haar_unitary,
     is_unitary,
     phase_distance,
@@ -22,6 +19,7 @@ from atomqc.linalg import (
     wrap_angle,
 )
 from atomqc.qrd import _givens_block
+from atomqc.qsd import _cs_decompose, _demultiplex
 
 RNG = np.random.default_rng(1234)
 
@@ -83,23 +81,18 @@ def test_givens_already_zero_is_identity():
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_cs_decompose_reconstructs(dim):
     u = haar_unitary(dim, RNG)
-    csd = cs_decompose(u)
+    csd = _cs_decompose(u)
     assert np.max(np.abs(csd.reconstruct() - u)) < 1e-12
     assert np.all(csd.thetas >= 0) and np.all(csd.thetas <= np.pi / 2 + 1e-12)
     for block in (csd.a1, csd.b1, csd.a2, csd.b2):
         assert is_unitary(block, 1e-12)
 
 
-def test_cs_decompose_odd_dimension():
-    with pytest.raises(OddDimension):
-        cs_decompose(np.eye(3))
-
-
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_demultiplex_factorization(dim):
     a = haar_unitary(dim, RNG)
     b = haar_unitary(dim, RNG)
-    dm = demultiplex(a, b)
+    dm = _demultiplex(a, b)
     assert np.max(np.abs(dm.v @ dm.d() @ dm.w - a)) < 1e-12
     assert np.max(np.abs(dm.v @ dm.d().conj().T @ dm.w - b)) < 1e-12
 
@@ -107,13 +100,8 @@ def test_demultiplex_factorization(dim):
 def test_demultiplex_degenerate_pair():
     # A = B forces AB^dagger = I, a fully degenerate eigenproblem.
     a = haar_unitary(4, RNG)
-    dm = demultiplex(a, a)
+    dm = _demultiplex(a, a)
     assert np.max(np.abs(dm.v @ dm.d() @ dm.w - a)) < 1e-12
-
-
-def test_demultiplex_shape_mismatch():
-    with pytest.raises(DimMismatch):
-        demultiplex(np.eye(2), np.eye(4))
 
 
 def test_random_unitary_deterministic():

@@ -6,8 +6,9 @@ import scipy.linalg
 
 from atomqc import circuit as cir
 from atomqc.circuit import rotation_matrix
-from atomqc.exceptions import LengthNotPowerOfTwo, NotUnitary, SizeTooLarge
-from atomqc.linalg import phase_distance, random_unitary
+from atomqc import linalg
+from atomqc.exceptions import LengthNotPowerOfTwo, NotPowerOfTwo, NotUnitary, SizeTooLarge
+from atomqc.linalg import haar_unitary, phase_distance, random_unitary
 from atomqc.qsd import (
     _gray_walsh_matrix,
     multiplexer_angles,
@@ -127,3 +128,25 @@ def test_input_validation():
         qsd_compile(np.ones((4, 4)))
     with pytest.raises(SizeTooLarge):
         qsd_compile(np.eye(16), max_qubits=3)
+
+
+def test_odd_dimension_rejected():
+    # A 6x6 unitary would split into 3x3 CSD blocks; the entry check stops it.
+    with pytest.raises(NotPowerOfTwo):
+        qsd_compile(haar_unitary(6, np.random.default_rng(6)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_input_checked_once(n, monkeypatch):
+    # Every CSD and demultiplexing block is unitary by construction, so only
+    # the input is checked.
+    calls = []
+    defect = linalg.unitarity_defect
+
+    def spy(m):
+        calls.append(np.shape(m))
+        return defect(m)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", spy)
+    qsd_compile(random_unitary(n, seed=n))
+    assert calls == [(2**n, 2**n)]
