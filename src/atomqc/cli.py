@@ -8,6 +8,7 @@ error, 2 invalid input matrix, 3 verification failure, 4 parse error.
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -88,11 +89,9 @@ def _max_qubits(default=8):
     env = os.environ.get("ATOMQC_MAX_QUBITS")
     if env is None:
         return default
-    try:
-        value = int(env)
-    except ValueError:
+    if not re.fullmatch(r"[+-]?[0-9]+", env):  # int() also reads other digits and "1_0"
         _fail(EXIT_IO, f"ATOMQC_MAX_QUBITS must be an integer, got {env!r}")
-    return min(max(value, 1), MAX_QUBITS)
+    return min(max(int(env), 1), MAX_QUBITS)
 
 
 def _positive(name, value):
@@ -124,7 +123,7 @@ def _write_text(path, text):
 
 def _parse_circuit(text):
     """A SEQUENCE file if its first word outside ``#`` comments says so, else OpenQASM."""
-    words = (line.split("#", 1)[0].split(None, 1) for line in text.splitlines())
+    words = (line.split("#", 1)[0].split(None, 1) for line in text.split("\n"))
     first = next((w[0] for w in words if w), None)
     return (parse_sequence if first == "SEQUENCE" else parse_qasm)(text)
 
@@ -141,13 +140,10 @@ def _haar_matrix(spec, seed, max_qubits):
     """Sample the unitary named by the specifier ``haar:<n>``, n >= 1."""
     if seed < 0:
         _fail(EXIT_IO, f"--seed must be non-negative, got {seed}")
-    try:
-        n = int(spec.split(":", 1)[1])
-        if n < 1:
-            raise ValueError(n)
-    except ValueError:
+    digits = spec.split(":", 1)[1]
+    if not re.fullmatch(r"[0-9]+", digits) or int(digits) < 1:  # ASCII digits, no sign or "_"
         _fail(EXIT_BAD_MATRIX, f"bad matrix specifier {spec!r}; expected haar:<n>, n >= 1")
-    return random_unitary(n, seed, max_qubits)
+    return random_unitary(int(digits), seed, max_qubits)
 
 
 def _compile_one(u, method, retarget, tol, max_qubits):

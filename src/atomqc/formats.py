@@ -367,7 +367,7 @@ def parse_sequence(text):
     n_qubits = None
     phase = None
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -435,7 +435,7 @@ def write_matrix(m):
 
 def read_matrix(text):
     """Parse the matrix text format, validating shape and unitarity."""
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")
     if not re.fullmatch(r"[+-]?[0-9]+", lines[0]):  # int() also reads other digits and "1_0"

@@ -320,6 +320,22 @@ def test_help_exits_zero(capsys, argv):
          "s_pi.qasm: s takes 0 parameter(s), got 1 (line 3, col 1)"),
         (["retarget", "{tmp}/number_reg.qasm"], {}, EXIT_PARSE,
          "number_reg.qasm: expected register name, got '5' (line 1, col 6)"),
+        (["compile", "haar:\u0662"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar:0_2"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar: 2"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar:+2"], {}, EXIT_BAD_MATRIX, "expected haar:<n>, n >= 1"),
+        (["compile", "haar:2"], {"ATOMQC_MAX_QUBITS": "\u0663"}, EXIT_IO,
+         "error: ATOMQC_MAX_QUBITS must be an integer, got '\u0663'"),
+        (["compile", "haar:2"], {"ATOMQC_MAX_QUBITS": "-1"}, EXIT_IO,
+         "error: 2 qubits exceeds limit 1"),
+        (["verify", "{tmp}/fs.seq", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
+         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+        (["verify", "{tmp}/ls.seq", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
+         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+        (["compile", "{tmp}/fs.mat"], {}, EXIT_BAD_MATRIX,
+         "bad dimension line '2\\x1c1+0i 0+0i'"),
+        (["compile", "{tmp}/ls.mat"], {}, EXIT_BAD_MATRIX,
+         "bad dimension line '1\\u20281+0i'"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, message):
@@ -333,6 +349,11 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     (tmp_path / "eye2.mat").write_text(write_matrix(np.eye(2)))
     (tmp_path / "s_pi.qasm").write_text("OPENQASM 2.0;\nqreg q[1];\ns(pi) q[0];\n")
     (tmp_path / "number_reg.qasm").write_text("qreg 5[2]; qreg q[1]; h q[0];\n")
+    # A file separator (\x1c) or a line separator (U+2028) does not end a line.
+    (tmp_path / "fs.seq").write_text("SEQUENCE 1\x1cQUBITS 1\n")
+    (tmp_path / "ls.seq").write_text("SEQUENCE 1\u2028QUBITS 1\nC 0 0.5 0\n", encoding="utf-8")
+    (tmp_path / "fs.mat").write_text("2\x1c1+0i 0+0i\n0+0i 1+0i\n")
+    (tmp_path / "ls.mat").write_text("1\u20281+0i\n", encoding="utf-8")
     monkeypatch.delenv("ATOMQC_MAX_QUBITS", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)

@@ -567,3 +567,45 @@ def test_sequence_integer_may_carry_a_sign():
     assert parse_sequence("SEQUENCE 1\nQUBITS 2\nCZ 0 +1\n").gates == (cir.cz(0, 1),)
     with pytest.raises(SequenceSyntaxError, match="qubit -1 outside width 2"):
         parse_sequence("SEQUENCE 1\nQUBITS 2\nCZ 0 -1\n")
+
+
+# ---------------------------------------------------------------------------
+# Lines end at "\n" only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "parse, text, exc, message",
+    [
+        (parse_sequence, "SEQUENCE 1\x1cQUBITS 1\n", SequenceSyntaxError,
+         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+        (parse_sequence, "SEQUENCE 1\u2028QUBITS 1\nC 0 0.5 0\n", SequenceSyntaxError,
+         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+        (parse_sequence, "SEQUENCE 1\nQUBITS 1\x85C 0 0.5 0\n", SequenceSyntaxError,
+         "QUBITS takes 1 argument(s), got 5 (line 2)"),
+        (read_matrix, "2\x1c1+0i 0+0i\n0+0i 1+0i\n", MatrixFormatError,
+         "bad dimension line '2\\x1c1+0i 0+0i'"),
+        (read_matrix, "1\u20281+0i\n", MatrixFormatError, "bad dimension line '1\\u20281+0i'"),
+    ],
+)
+def test_only_newline_ends_a_line(parse, text, exc, message):
+    # str.splitlines() would also break at \x1c-\x1e, \x85, U+2028 and U+2029.
+    with pytest.raises(exc) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_crlf_sequence_and_matrix_parse_like_lf():
+    u = random_unitary(2, seed=3)
+    text = emit_sequence(retarget_circuit(qsd_compile(u)))
+    assert parse_sequence(text.replace("\n", "\r\n")) == parse_sequence(text)
+    assert np.array_equal(read_matrix(write_matrix(u).replace("\n", "\r\n")), u)
+
+
+def test_bare_carriage_return_does_not_end_a_line():
+    # A file whose lines end in "\r" alone is one line, as parse_qasm reads it.
+    with pytest.raises(SequenceSyntaxError) as info:
+        parse_sequence("SEQUENCE 1\rQUBITS 1\rC 0 0.5 0\r")
+    assert str(info.value) == "SEQUENCE takes 1 argument(s), got 7 (line 1)"
+    with pytest.raises(MatrixFormatError, match="^bad dimension line"):
+        read_matrix("1\r1+0i\r")
