@@ -367,6 +367,7 @@ def parse_sequence(text):
     n_qubits = None
     phase = None
     saw_header = False
+    # Only "\n" ends a line: splitlines() would also break at \x1c-\x1e, \x85, U+2028, U+2029.
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -435,6 +436,7 @@ def write_matrix(m):
 
 def read_matrix(text):
     """Parse the matrix text format, validating shape and unitarity."""
+    # Only "\n" ends a line, as in parse_sequence.
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")

@@ -6,7 +6,12 @@ callers use dimensions that are powers of two.
 
 import numpy as np
 
-from .exceptions import DimMismatch, NotPowerOfTwo, NotUnitary, SizeTooLarge
+from .exceptions import (
+    DimMismatch,
+    NotPowerOfTwo,
+    NotUnitary,
+    SizeTooLarge,
+)
 
 __all__ = [
     "TOL_UNITARY",
