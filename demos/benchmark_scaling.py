@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from atomqc import gate_counts, qrd_compile, qsd_compile, random_unitary
+from atomqc import cnot_lower_bound, gate_counts, qrd_compile, qsd_compile, random_unitary
 
 SAMPLES = 5
 
@@ -23,9 +23,8 @@ for n in range(2, 6):
         c = qsd_compile(u)
         times.append(time.perf_counter() - start)
         qsd_counts.append(gate_counts(c).entangling_total)
-    bound = int(np.ceil((4**n - 3 * n - 1) / 4))
     print(f"{n:>2} {np.mean(qrd_counts):>10.1f} {np.mean(qsd_counts):>10.1f} "
-          f"{bound:>7} {np.median(times):>9.4f}")
+          f"{cnot_lower_bound(n):>7} {np.median(times):>9.4f}")
 
 print()
 print("qsd counts are deterministic (6, 36, 168, 720, ...); the gap to the")

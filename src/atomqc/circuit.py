@@ -12,7 +12,7 @@ Gates and circuits are immutable value types.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import attrgetter
 
@@ -25,22 +25,6 @@ SINGLE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1"})
 ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "MCU", "MCX"})
 GATE_KINDS = SINGLE_QUBIT_KINDS | ENTANGLING_KINDS | {"DIAG_PHASE"}
 
-# Kinds whose first angle parameter lives in [0, 2pi); PHASE/DIAG_PHASE use (-pi, pi].
-_MOD_2PI_KINDS = frozenset({"RX", "RY", "RZ", "C"})
-
-
-def _canon_2pi(x):
-    y = float(x) % (2 * np.pi)
-    # A tiny negative x rounds up to exactly 2 pi, outside [0, 2 pi).
-    return 0.0 if y == 2 * np.pi else y
-
-
-def canon_2pi(angles):
-    """``_canon_2pi`` of every entry of a float array, bit for bit, as a new array."""
-    y = np.mod(angles, 2 * np.pi)
-    y[y == 2 * np.pi] = 0.0
-    return y
-
 
 def canonical_angles(angles):
     """Angles in [0, 2pi), and the phases pi * round((angle - canonical) / 2pi) keeping them exact.
@@ -49,9 +33,12 @@ def canonical_angles(angles):
     of each wrap.  A float array gives two arrays, a float two floats, alike.
     """
     if isinstance(angles, np.ndarray):
-        canon = canon_2pi(angles)
+        canon = np.mod(angles, 2 * np.pi)
+        canon[canon == 2 * np.pi] = 0.0
         return canon, np.pi * np.round((angles - canon) / (2 * np.pi))
-    canon = _canon_2pi(angles)
+    canon = float(angles) % (2 * np.pi)
+    # A tiny negative angle rounds up to exactly 2 pi, outside [0, 2 pi).
+    canon = 0.0 if canon == 2 * np.pi else canon
     return canon, np.pi * round((angles - canon) / (2 * np.pi))
 
 
@@ -92,15 +79,6 @@ class Gate:
         """Two controls, both on |1>: the one MCX that retarget and QASM take as is."""
         return self.kind == "MCX" and len(self.qubits) == 3 and 0 not in self.polarities
 
-    def dagger(self):
-        if self.kind in ("H", "X", "CNOT", "CZ", "CCZ", "MCX"):
-            return self
-        if self.kind in _MOD_2PI_KINDS:
-            return replace(self, params=(_canon_2pi(-self.params[0]),) + self.params[1:])
-        if self.kind in ("PHASE", "DIAG_PHASE"):
-            return replace(self, params=(wrap_angle(-self.params[0]),))
-        return replace(self, matrix=self.matrix.conj().T)
-
 
 def _check_2x2_unitary(m):
     m = np.asarray(m, dtype=complex)
@@ -110,15 +88,15 @@ def _check_2x2_unitary(m):
 
 
 def rx(theta, q):
-    return Gate("RX", (q,), (_canon_2pi(theta),))
+    return Gate("RX", (q,), (canonical_angles(theta)[0],))
 
 
 def ry(theta, q):
-    return Gate("RY", (q,), (_canon_2pi(theta),))
+    return Gate("RY", (q,), (canonical_angles(theta)[0],))
 
 
 def rz(theta, q):
-    return Gate("RZ", (q,), (_canon_2pi(theta),))
+    return Gate("RZ", (q,), (canonical_angles(theta)[0],))
 
 
 def h(q):
@@ -131,7 +109,7 @@ def x(q):
 
 def c_gate(theta, phi, q):
     """Native neutral-atom pulse: rotation theta about the equatorial axis set by phi."""
-    return Gate("C", (q,), (_canon_2pi(theta), _canon_2pi(phi)))
+    return Gate("C", (q,), (canonical_angles(theta)[0], canonical_angles(phi)[0]))
 
 
 def phase(gamma, q):
@@ -287,7 +265,7 @@ def controlled_block(g):
 # QRD's MCUs have at most 6 * 3^5 = 1458, and the simulator meets the same
 # keys gate after gate.  An entry is a few short tuples.
 @lru_cache(maxsize=2048)
-def block_index(controls, polarities, target, n_qubits):
+def block_index(controls, polarities, target):
     """``(shape, i0, i1)`` locating the row pairs a controlled block mixes.
 
     For any C-contiguous ``m`` with 2^n rows, ``m.reshape(shape)[i0]`` and
@@ -296,7 +274,7 @@ def block_index(controls, polarities, target, n_qubits):
     axis of two, the untouched qubits between two of them share one axis,
     and the qubits after the last share the final axis with the columns, so
     both views list their entries in ascending row order, pair by pair.  The
-    arguments are tuples and ints.
+    arguments are tuples and ints; the index holds for every width n.
     """
     bits = dict(zip(controls, polarities))
     bits[target] = None
@@ -315,7 +293,7 @@ def block_index(controls, polarities, target, n_qubits):
     return tuple(shape) + (-1,), tuple(i0), tuple(i1)
 
 
-def pair_views(m, controls, polarities, target, n_qubits):
+def pair_views(m, controls, polarities, target):
     """Views ``(a, b)`` of the rows of ``m`` a controlled block mixes (``block_index``).
 
     Writing into them writes into ``m``, which must therefore be
@@ -323,7 +301,7 @@ def pair_views(m, controls, polarities, target, n_qubits):
     """
     if not m.flags.c_contiguous:
         raise ValueError("pair_views needs a C-contiguous array")
-    shape, i0, i1 = block_index(controls, polarities, target, n_qubits)
+    shape, i0, i1 = block_index(controls, polarities, target)
     v = m.reshape(shape)
     return v[i0], v[i1]
 

@@ -22,7 +22,7 @@ from .exceptions import (
     SequenceSyntaxError,
     UnsupportedGate,
 )
-from .formats import emit_sequence, parse_qasm, parse_sequence, read_matrix, render_qasm
+from .formats import emit_sequence, parse_circuit, parse_qasm, read_matrix, render_qasm
 from .linalg import MAX_QUBITS, random_unitary
 from .qrd import qrd_compile
 from .qsd import qsd_compile
@@ -121,13 +121,6 @@ def _write_text(path, text):
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _parse_circuit(text):
-    """A SEQUENCE file if its first word outside ``#`` comments says so, else OpenQASM."""
-    words = (line.split("#", 1)[0].split(None, 1) for line in text.split("\n"))
-    first = next((w[0] for w in words if w), None)
-    return (parse_sequence if first == "SEQUENCE" else parse_qasm)(text)
-
-
 def _parse_file(path, parse):
     """``parse`` of the file at ``path``; an error in ``EXIT_CODES`` names the path."""
     try:
@@ -189,7 +182,7 @@ def cmd_retarget(args):
 
 def cmd_verify(args):
     _positive("--tol", args.tol)
-    c = _parse_file(args.circuit, _parse_circuit)
+    c = _parse_file(args.circuit, parse_circuit)
     if args.matrix.startswith("haar:"):
         _fail(EXIT_BAD_MATRIX, f"verify needs a matrix file, got {args.matrix!r}")
     report = verify(c, _parse_file(args.matrix, read_matrix), tol=args.tol)

@@ -28,6 +28,7 @@ __all__ = [
     "render_qasm",
     "emit_sequence",
     "parse_sequence",
+    "parse_circuit",
     "read_matrix",
     "write_matrix",
 ]
@@ -318,6 +319,10 @@ def render_qasm(c):
 # SEQUENCE v1
 # ---------------------------------------------------------------------------
 
+# Fields split only at _TOKEN_RE's blanks; str.split() also splits at \x0b, \x1c, \x85, U+3000.
+_BLANKS = " \t\r"
+_BLANK_RE = re.compile(f"[{_BLANKS}]+")
+
 
 def emit_sequence(c):
     """Serialize a native {C, CZ, CCZ} circuit as a SEQUENCE v1 file."""
@@ -339,12 +344,13 @@ def emit_sequence(c):
 
 
 def _seq_fields(raw, lineno, mnemonic, n_int, n_float):
-    parts = raw.split()
+    parts = _BLANK_RE.split(raw)
     if len(parts) != 1 + n_int + n_float:
         raise SequenceSyntaxError(
             f"{mnemonic} takes {n_int + n_float} argument(s), got {len(parts) - 1}", lineno
         )
-    if not raw.isascii() or "_" in raw:  # int() and float() also read other digits and "1_0"
+    # int() and float() also read other digits, "1_0" and control characters ("0\x1c").
+    if not raw.isascii() or not "".join(parts).isprintable() or "_" in raw:
         raise SequenceSyntaxError(f"{mnemonic} arguments must be ASCII numbers without '_'", lineno)
     try:
         ints = [int(p) for p in parts[1 : 1 + n_int]]
@@ -369,10 +375,10 @@ def parse_sequence(text):
     saw_header = False
     # Only "\n" ends a line: splitlines() would also break at \x1c-\x1e, \x85, U+2028, U+2029.
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if not line:
             continue
-        mnemonic = line.split(None, 1)[0]
+        mnemonic = _BLANK_RE.split(line, 1)[0]
         if not saw_header:
             if mnemonic != "SEQUENCE":
                 raise SequenceSyntaxError("file must start with a SEQUENCE header", lineno)
@@ -411,6 +417,13 @@ def parse_sequence(text):
     return cir.Circuit(n_qubits, tuple(gates), 0.0 if phase is None else phase)
 
 
+def parse_circuit(text):
+    """A SEQUENCE file if its first field outside ``#`` comments says so, else OpenQASM."""
+    lines = (raw.split("#", 1)[0].strip(_BLANKS) for raw in text.split("\n"))
+    first = next((_BLANK_RE.split(line, 1)[0] for line in lines if line), None)
+    return (parse_sequence if first == "SEQUENCE" else parse_qasm)(text)
+
+
 # ---------------------------------------------------------------------------
 # Matrix files
 # ---------------------------------------------------------------------------
@@ -437,7 +450,7 @@ def write_matrix(m):
 def read_matrix(text):
     """Parse the matrix text format, validating shape and unitarity."""
     # Only "\n" ends a line, as in parse_sequence.
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.split("\n")) if ln]
+    lines = [ln for ln in (raw.split("#", 1)[0].strip(_BLANKS) for raw in text.split("\n")) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")
     if not re.fullmatch(r"[+-]?[0-9]+", lines[0]):  # int() also reads other digits and "1_0"
@@ -449,7 +462,7 @@ def read_matrix(text):
         raise MatrixFormatError(f"expected {dim} rows, got {len(lines) - 1}")
     m = np.zeros((dim, dim), dtype=complex)
     for i, line in enumerate(lines[1:]):
-        entries = line.split()
+        entries = _BLANK_RE.split(line)
         if len(entries) != dim:
             raise MatrixFormatError(f"row {i} has {len(entries)} entries, expected {dim}")
         for j, token in enumerate(entries):

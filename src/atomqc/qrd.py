@@ -73,8 +73,8 @@ def eliminate_controls(
     patterns of the other qubits its controls select.
     """
     threshold = TOL_ZERO * max(matrix.shape[0], 4)
-    rows = cir.mix(block, *cir.pair_views(matrix, (), (), target, n_qubits))
-    masks = cir.pair_views(cleared_mask, (), (), target, n_qubits)
+    rows = cir.mix(block, *cir.pair_views(matrix, (), (), target))
+    masks = cir.pair_views(cleared_mask, (), (), target)
     # worst[pattern] over the other qubits, one axis each in qubit order.
     worst = np.maximum(*(
         np.where(mask, np.abs(r), 0.0).reshape((2,) * (n_qubits - 1) + (-1,)).max(axis=-1)
@@ -119,7 +119,7 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
                     controls, pol = eliminate_controls(
                         controls, pol, target, block, cleared, m, n
                     )
-                rows_a, rows_b = cir.pair_views(m, controls, pol, target, n)
+                rows_a, rows_b = cir.pair_views(m, controls, pol, target)
                 rows_a[...], rows_b[...] = cir.mix(block, rows_a, rows_b)
                 # Unitary by construction, so no ``cir.mcu`` check; a U1 if no control is left.
                 emitted.append(cir.Gate("MCU" if controls else "U1", controls + (target,),

@@ -10,7 +10,6 @@ exactly for non-degenerate inputs.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -56,8 +55,6 @@ def multiplexer_angles(thetas):
     k = int(np.log2(len(thetas)))
     if 2**k != len(thetas):
         raise LengthNotPowerOfTwo(f"got {len(thetas)} angles")
-    if k == 0:
-        return thetas.copy()
     m = _gray_walsh_matrix(k)
     return (m.T @ thetas) / 2**k
 
@@ -91,65 +88,32 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
     return tuple(gates), math.fsum(wraps)
 
 
-@dataclass(frozen=True)
-class CsdResult:
-    """Cosine-sine factorization ``U = diag(a1,b1) @ [[C,-S],[S,C]] @ diag(a2,b2)``."""
-
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    thetas: np.ndarray
-
-    def middle(self):
-        c = np.diag(np.cos(self.thetas))
-        s = np.diag(np.sin(self.thetas))
-        return np.block([[c, -s], [s, c]])
-
-    def reconstruct(self):
-        left = scipy.linalg.block_diag(self.a1, self.b1)
-        right = scipy.linalg.block_diag(self.a2, self.b2)
-        return left @ self.middle() @ right
-
-
 def _cs_decompose(u):
-    """Cosine-sine decomposition with equal block sizes.
+    """Cosine-sine decomposition with equal block sizes: ``(a1, b1, a2, b2, thetas)``.
 
-    Returns blocks sharing a single theta vector with all angles in
-    [0, pi/2].  Unchecked: ``qsd_compile`` checks its input, and every
-    block it passes on is unitary by construction.
+    ``U = diag(a1,b1) @ [[C,-S],[S,C]] @ diag(a2,b2)``, C and S the cosines
+    and sines of thetas, all in [0, pi/2].  Unchecked: ``qsd_compile``
+    checks its input, and every block it passes on is unitary by construction.
     """
     half = u.shape[0] // 2
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
-    return CsdResult(a1=u1, b1=u2, a2=v1h, b2=v2h, thetas=np.asarray(theta, dtype=float))
-
-
-@dataclass(frozen=True)
-class DemuxResult:
-    """Factorization ``A = V D W`` and ``B = V D^dagger W`` with ``D = diag(e^{i phi_k})``."""
-
-    v: np.ndarray
-    w: np.ndarray
-    d_phases: np.ndarray
-
-    def d(self):
-        return np.diag(np.exp(1j * self.d_phases))
+    return u1, u2, v1h, v2h, np.asarray(theta, dtype=float)
 
 
 def _demultiplex(a, b):
     """Split a block-diagonal pair via the eigendecomposition of ``A B^dagger``.
 
-    ``A B^dagger`` is unitary, hence normal; a complex Schur decomposition
-    yields a unitary eigenbasis even for degenerate eigenvalues.  ``D`` takes
-    the principal square root of the eigenvalues.  Unchecked, as
-    ``_cs_decompose``.
+    ``(v, w, phases)`` with ``A = V D W``, ``B = V D^dagger W``, ``D = diag(e^{i phases})``.
+    ``A B^dagger`` is unitary, hence normal; a complex Schur decomposition yields
+    a unitary eigenbasis even for degenerate eigenvalues, and ``D`` takes the
+    principal square root of the eigenvalues.  Unchecked, as ``_cs_decompose``.
     """
     t, v = scipy.linalg.schur(a @ b.conj().T, output="complex")
     # Principal branch: eigenphases of D^2 in (-pi, pi], halved.
     phases = np.angle(np.diagonal(t)) / 2.0
     d = np.exp(1j * phases)
     w = np.diag(d) @ v.conj().T @ b
-    return DemuxResult(v=v, w=w, d_phases=phases)
+    return v, w, phases
 
 
 def qsd_compile(u, *, max_qubits=MAX_QUBITS):
@@ -178,23 +142,23 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
         if len(qubits) == 1:
             items.append((None, qubits[0], block))
             return
-        csd = _cs_decompose(block)
+        a1, b1, a2, b2, thetas = _cs_decompose(block)
         select = qubits[0]
         lower = qubits[1:]
         # Time order is right to left: diag(a2,b2), middle RY, diag(a1,b1).
-        emit_multiplexer(csd.a2, csd.b2, select, lower)
-        ladder("Y", lower, select, 2.0 * csd.thetas)
-        emit_multiplexer(csd.a1, csd.b1, select, lower)
+        emit_multiplexer(a2, b2, select, lower)
+        ladder("Y", lower, select, 2.0 * thetas)
+        emit_multiplexer(a1, b1, select, lower)
 
     def emit_multiplexer(a, b, select, lower):
         if np.max(np.abs(a - b)) < _IDENTITY_EPS:
             # Same block on both select states: no multiplexing needed.
             descend(a, lower)
             return
-        dm = _demultiplex(a, b)
-        descend(dm.w, lower)
-        ladder("Z", lower, select, -2.0 * dm.d_phases)
-        descend(dm.v, lower)
+        v, w, phases = _demultiplex(a, b)
+        descend(w, lower)
+        ladder("Z", lower, select, -2.0 * phases)
+        descend(v, lower)
 
     descend(u, tuple(range(n)))
     gates, phase = fill_rotations(items)

@@ -27,10 +27,8 @@ __all__ = [
     "AxisAngle",
     "TwoPulse",
     "quaternion_from_unitary",
-    "quaternion_to_unitary",
     "quaternion_multiply",
     "to_axis_angle",
-    "synthesize_run",
     "synthesize_runs",
     "two_pulse_synthesis",
 ]
@@ -172,16 +170,6 @@ def quaternion_from_unitary(u):
     return q.normalized(), phase
 
 
-def quaternion_to_unitary(q):
-    """Inverse of ``quaternion_from_unitary`` for the special-unitary part."""
-    return np.array(
-        [
-            [q.w - 1j * q.z, -q.y - 1j * q.x],
-            [q.y - 1j * q.x, q.w + 1j * q.z],
-        ]
-    )
-
-
 def quaternion_multiply(q2, q1):
     """Hamilton product; ``q2`` is the rotation applied after ``q1``."""
     w = q2.w * q1.w - q2.x * q1.x - q2.y * q1.y - q2.z * q1.z
@@ -201,7 +189,8 @@ def to_axis_angle(q):
         _pick(ident, 0.0, q.y / safe_norm),
         _pick(ident, 1.0, q.z / safe_norm),
     )
-    alpha = _pick(ident, 0.0, 2.0 * np.arctan2(vec_norm, q.w) % (2 * np.pi))
+    # arctan2 of a norm above TOL_ZERO lies in (0, pi), so alpha is below 2 pi.
+    alpha = _pick(ident, 0.0, 2.0 * np.arctan2(vec_norm, q.w))
     # arccos(axis_z) would lose half its digits near the poles.
     beta = _pick(ident, 0.0, np.arctan2(np.hypot(q.x, q.y), q.z))
     phi_axis = _pick(ident, 0.0, np.arctan2(axis[1], axis[0]))
@@ -318,22 +307,11 @@ def synthesize_runs(us, tol=TOL_RECON):
     return counts, TwoPulse(theta1, phi1, theta2, phi2, gamma)
 
 
-def synthesize_run(u, tol=TOL_RECON):
-    """C pulses (0, 1 or 2 ``(theta, phi)`` pairs, first fired first) and phase gamma.
-
-    ``e^{i gamma}`` times the pulses, composed, equals the 2x2 unitary ``u``:
-    the one-run case of ``synthesize_runs``.
-    """
-    counts, tp = synthesize_runs(np.asarray(u)[None], tol)
-    pulses = ((tp.theta1[0], tp.phi1[0]), (tp.theta2[0], tp.phi2[0]))
-    return pulses[: counts[0]], tp.gamma[0]
-
-
 def two_pulse_synthesis(u, tol=TOL_RECON):
     """Exact two-pulse realization of an arbitrary single-qubit unitary.
 
     The paper's construction: always two equal pulses, also where
-    ``synthesize_run`` would emit fewer; the identity (to within
+    ``synthesize_runs`` would emit fewer; the identity (to within
     ``TOL_ZERO``) is the degenerate pair theta = 0.
     """
     q, gamma = quaternion_from_unitary(u)

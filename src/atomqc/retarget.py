@@ -8,6 +8,8 @@ output contains only {C, CZ, CCZ} and is phase-equivalent to the input.
 
 import math
 
+import numpy as np
+
 from . import circuit as cir
 from .exceptions import NotUnitary, SynthesisFailure, UnsupportedGate
 from .linalg import wrap_angle
@@ -56,9 +58,8 @@ def retarget_circuit(c, tol=TOL_RECON):
             q, start = runs[exc.row]
             raise type(exc)(f"run on qubit {q} from input gate {start}: {exc}") from exc
         counts = counts.tolist()
-        theta1, phi1, theta2, phi2 = (
-            cir.canon_2pi(a).tolist() for a in (tp.theta1, tp.phi1, tp.theta2, tp.phi2)
-        )
+        angles = np.stack([tp.theta1, tp.phi1, tp.theta2, tp.phi2])
+        theta1, phi1, theta2, phi2 = cir.canonical_angles(angles)[0].tolist()
         phase += math.fsum(tp.gamma)
     for s in slots:
         if not isinstance(s, int):

@@ -23,7 +23,7 @@ def apply_gate(u, g, n_qubits):
     """
     cir.check_qubits(g.qubits, n_qubits)
     controls, polarities, target, block = cir.controlled_block(g)
-    a, b = cir.pair_views(u, controls, polarities, target, n_qubits)
+    a, b = cir.pair_views(u, controls, polarities, target)
     a[...], b[...] = cir.mix(block, a, b)
     return u
 
@@ -50,7 +50,7 @@ def apply_circuit(u, c):
     slots, runs, us = cir.collect_runs(c.gates)
     # One batched 2x2 matmul per run over the view (2^q, 2, rest) of its
     # qubit: fewer array passes than the general mix, equal up to rounding.
-    run_views = [u.reshape(cir.block_index((), (), q, n)[0]) for q in range(n)]
+    run_views = [u.reshape(cir.block_index((), (), q)[0]) for q in range(n)]
     signs = {}  # qubits -> the rows a CZ or CCZ on them negates
     for s in slots:
         if isinstance(s, int):
@@ -59,11 +59,11 @@ def apply_circuit(u, c):
         elif s.kind in ("CZ", "CCZ"):
             b = signs.get(s.qubits)
             if b is None:
-                b = signs[s.qubits] = cir.pair_views(u, *cir.controlled_block(s)[:3], n)[1]
+                b = signs[s.qubits] = cir.pair_views(u, *cir.controlled_block(s)[:3])[1]
             np.negative(b, out=b)
         else:
             controls, polarities, target, block = cir.controlled_block(s)
-            a, b = cir.pair_views(u, controls, polarities, target, n)
+            a, b = cir.pair_views(u, controls, polarities, target)
             if s.kind in ("CNOT", "MCX"):
                 a[...], b[...] = b, a.copy()
             else:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import dagger
 
 from atomqc import circuit as cir
 from atomqc.exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
@@ -29,13 +30,15 @@ def _parity_angles():
 def test_array_canonicalization_matches_scalar_bit_for_bit():
     angles = _parity_angles()
     assert len(angles) == 1008
-    got = cir.canon_2pi(angles).tolist()
-    assert [x.hex() for x in got] == [cir._canon_2pi(a).hex() for a in angles.tolist()]
+    got = cir.canonical_angles(angles)[0].tolist()
+    assert [x.hex() for x in got] == [cir.canonical_angles(a)[0].hex() for a in angles.tolist()]
     # The lowering's wrap phase, as arrays, is the scalar formula entry by
     # entry (np.round keeps the sign of a zero, which math.fsum drops).
     canon, wraps = cir.canonical_angles(angles)
     assert canon.tolist() == got
-    scalar = [np.pi * round((a - cir._canon_2pi(a)) / (2 * np.pi)) for a in angles.tolist()]
+    scalar = [
+        np.pi * round((a - cir.canonical_angles(a)[0]) / (2 * np.pi)) for a in angles.tolist()
+    ]
     assert wraps.tolist() == scalar
     assert np.count_nonzero(wraps) > 100
 
@@ -54,6 +57,8 @@ def test_gate_equality_with_matrices():
     assert cir.u1q(m, 0) == cir.u1q(m.copy(), 0)
     assert cir.u1q(m, 0) != cir.u1q(1j * m, 0)
     assert cir.h(0) != cir.x(0)
+    # An MCU without controls is the plain single-qubit gate.
+    assert cir.mcu((), 0, m) == cir.u1q(m, 0)
 
 
 def test_single_qubit_predicate():
@@ -61,6 +66,8 @@ def test_single_qubit_predicate():
     assert cir.c_gate(0.3, 0.1, 2).is_single_qubit
     assert not cir.cnot(0, 1).is_single_qubit
     assert not cir.toffoli(0, 1, 2).is_single_qubit
+    with pytest.raises(ValueError, match="CNOT has no single-qubit matrix"):
+        cir.local_matrices((cir.cnot(0, 1),))
 
 
 def test_duplicate_qubits_rejected():
@@ -68,6 +75,8 @@ def test_duplicate_qubits_rejected():
         cir.cnot(1, 1)
     with pytest.raises(DuplicateQubit):
         cir.toffoli(0, 2, 2)
+    with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
+        cir.Gate("FOO", (0,))
 
 
 def test_non_unitary_matrix_rejected():
@@ -85,7 +94,7 @@ def test_circuit_validates_width():
 def test_dagger_involution():
     for g in (cir.rx(0.4, 0), cir.phase(1.2, 0), cir.cnot(0, 1),
               cir.u1q(np.array([[0, 1j], [1j, 0]], dtype=complex), 0)):
-        back = g.dagger().dagger()
+        back = dagger(dagger(g))
         assert back.kind == g.kind and back.qubits == g.qubits
         assert np.allclose(gate_matrix(back, 2), gate_matrix(g, 2))
 
@@ -94,7 +103,7 @@ def test_dagger_inverts_matrix():
     # Rotation angles are canonicalized into [0, 2pi), so the inverse holds
     # up to a global sign (RY(2pi - t) = -RY(-t)).
     for g in (cir.ry(1.1, 0), cir.c_gate(0.7, -0.2, 0), cir.phase(0.9, 0)):
-        prod = cir.gate_local_matrix(g.dagger()) @ cir.gate_local_matrix(g)
+        prod = cir.gate_local_matrix(dagger(g)) @ cir.gate_local_matrix(g)
         sign = 1.0 if prod[0, 0].real >= 0 else -1.0
         assert np.max(np.abs(sign * prod - np.eye(2))) < 1e-14
 
@@ -109,16 +118,16 @@ def test_gate_counts():
 
 
 def test_block_index_shared_and_views():
-    index = cir.block_index((0, 2), (1, 0), 1, 3)
+    index = cir.block_index((0, 2), (1, 0), 1)
     # Calls share the cached index tuples.
-    assert cir.block_index((0, 2), (1, 0), 1, 3) is index
-    a, b = cir.pair_views(np.arange(8), (0, 2), (1, 0), 1, 3)
+    assert cir.block_index((0, 2), (1, 0), 1) is index
+    a, b = cir.pair_views(np.arange(8), (0, 2), (1, 0), 1)
     assert a.ravel().tolist() == [0b100] and b.ravel().tolist() == [0b110]
     # The rows are views: writing them writes the array, for any column count.
     m = np.zeros((8, 3))
-    a, b = cir.pair_views(m, (0, 2), (1, 0), 1, 3)
+    a, b = cir.pair_views(m, (0, 2), (1, 0), 1)
     a[...], b[...] = 1.0, 2.0
     assert m[0b100].tolist() == [1.0] * 3 and m[0b110].tolist() == [2.0] * 3
     assert np.count_nonzero(m) == 6
     with pytest.raises(ValueError):
-        cir.pair_views(np.zeros((3, 8)).T, (0, 2), (1, 0), 1, 3)
+        cir.pair_views(np.zeros((3, 8)).T, (0, 2), (1, 0), 1)

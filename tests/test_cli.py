@@ -9,6 +9,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from test_formats import UNICODE_BLANKS
 
 from atomqc import circuit as cir
 from atomqc.cli import (
@@ -21,7 +22,7 @@ from atomqc.cli import (
     csv_row,
     main,
 )
-from atomqc.formats import parse_sequence, write_matrix
+from atomqc.formats import parse_sequence, read_matrix, write_matrix
 from atomqc.linalg import phase_distance, random_unitary
 from atomqc.simulate import circuit_unitary, verify
 
@@ -329,9 +330,9 @@ def test_help_exits_zero(capsys, argv):
         (["compile", "haar:2"], {"ATOMQC_MAX_QUBITS": "-1"}, EXIT_IO,
          "error: 2 qubits exceeds limit 1"),
         (["verify", "{tmp}/fs.seq", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
-         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+         "SEQUENCE takes 1 argument(s), got 2 (line 1)"),
         (["verify", "{tmp}/ls.seq", "{tmp}/eye2.mat"], {}, EXIT_PARSE,
-         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+         "SEQUENCE takes 1 argument(s), got 2 (line 1)"),
         (["compile", "{tmp}/fs.mat"], {}, EXIT_BAD_MATRIX,
          "bad dimension line '2\\x1c1+0i 0+0i'"),
         (["compile", "{tmp}/ls.mat"], {}, EXIT_BAD_MATRIX,
@@ -452,3 +453,15 @@ def test_non_ascii_numbers_exit_codes(tmp_path, capsys):
     assert main(["verify", str(seq), str(mat)]) == EXIT_PARSE
     assert capsys.readouterr().err == (
         f"error: {seq}: C arguments must be ASCII numbers without '_' (line 3)\n")
+
+
+@pytest.mark.parametrize("parse, text, message", UNICODE_BLANKS)
+def test_unicode_blanks_exit_codes(tmp_path, capsys, parse, text, message):
+    path = tmp_path / "blanks.txt"
+    path.write_text(text, encoding="utf-8")
+    (tmp_path / "eye4.mat").write_text(write_matrix(np.eye(4)))
+    if parse is read_matrix:
+        assert main(["compile", str(path)]) == EXIT_BAD_MATRIX
+    else:
+        assert main(["verify", str(path), str(tmp_path / "eye4.mat")]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

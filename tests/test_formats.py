@@ -17,6 +17,7 @@ from atomqc.exceptions import (
 )
 from atomqc.formats import (
     emit_sequence,
+    parse_circuit,
     parse_qasm,
     parse_sequence,
     read_matrix,
@@ -481,6 +482,9 @@ def test_sequence_error_reports_line():
     with pytest.raises(SequenceSyntaxError, match="PHASE appears more than once") as info:
         parse_sequence("SEQUENCE 1\nQUBITS 1\nPHASE 1.0\nC 0 1 0.5\nPHASE 2.0\n")
     assert info.value.line == 5
+    with pytest.raises(SequenceSyntaxError) as info:
+        parse_sequence("SEQUENCE 1\n")
+    assert str(info.value) == "missing QUBITS line (line 1)"
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +582,11 @@ def test_sequence_integer_may_carry_a_sign():
     "parse, text, exc, message",
     [
         (parse_sequence, "SEQUENCE 1\x1cQUBITS 1\n", SequenceSyntaxError,
-         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+         "SEQUENCE takes 1 argument(s), got 2 (line 1)"),
         (parse_sequence, "SEQUENCE 1\u2028QUBITS 1\nC 0 0.5 0\n", SequenceSyntaxError,
-         "SEQUENCE takes 1 argument(s), got 3 (line 1)"),
+         "SEQUENCE takes 1 argument(s), got 2 (line 1)"),
         (parse_sequence, "SEQUENCE 1\nQUBITS 1\x85C 0 0.5 0\n", SequenceSyntaxError,
-         "QUBITS takes 1 argument(s), got 5 (line 2)"),
+         "QUBITS takes 1 argument(s), got 4 (line 2)"),
         (read_matrix, "2\x1c1+0i 0+0i\n0+0i 1+0i\n", MatrixFormatError,
          "bad dimension line '2\\x1c1+0i 0+0i'"),
         (read_matrix, "1\u20281+0i\n", MatrixFormatError, "bad dimension line '1\\u20281+0i'"),
@@ -600,6 +604,9 @@ def test_crlf_sequence_and_matrix_parse_like_lf():
     text = emit_sequence(retarget_circuit(qsd_compile(u)))
     assert parse_sequence(text.replace("\n", "\r\n")) == parse_sequence(text)
     assert np.array_equal(read_matrix(write_matrix(u).replace("\n", "\r\n")), u)
+    # A tab separates and pads fields as a space does.
+    assert parse_sequence(text.replace(" ", "\t").replace("\n", "\t\n")) == parse_sequence(text)
+    assert np.array_equal(read_matrix(write_matrix(u).replace(" ", "\t ")), u)
 
 
 def test_bare_carriage_return_does_not_end_a_line():
@@ -609,3 +616,40 @@ def test_bare_carriage_return_does_not_end_a_line():
     assert str(info.value) == "SEQUENCE takes 1 argument(s), got 7 (line 1)"
     with pytest.raises(MatrixFormatError, match="^bad dimension line"):
         read_matrix("1\r1+0i\r")
+
+
+# ---------------------------------------------------------------------------
+# Fields are split at " ", "\t" and "\r" only
+# ---------------------------------------------------------------------------
+
+# Texts that str.split() and str.strip() read as valid, since they also take
+# \x0b, \x1c-\x1f, \x85 and U+3000 as blanks: (parser, text, diagnostic).
+UNICODE_BLANKS = [
+    (read_matrix, "2\n1+0i 0+0i\n0+0i\x851+0i\n", "row 1 has 1 entries, expected 2"),
+    (read_matrix, "1\n\x1c1+0i\n", "bad entry '\\x1c1+0i' at row 0, column 0"),
+    (read_matrix, "2\n1+0i\x0b0+0i\n0+0i 1+0i\n", "row 0 has 1 entries, expected 2"),
+    (parse_sequence, "SEQUENCE 1\nQUBITS 2\nCZ\x1c0\x1d1\n",
+     "unknown instruction 'CZ\\x1c0\\x1d1' (line 3)"),
+    (parse_sequence, "SEQUENCE 1\nQUBITS 1\nC 0 0.5 0\u3000\n", f"C {_NOT_ASCII_NUMBERS} (line 3)"),
+    (parse_sequence, "SEQUENCE 1\nQUBITS 2\nCZ 0\x1c 1\n", f"CZ {_NOT_ASCII_NUMBERS} (line 3)"),
+    (parse_sequence, "SEQUENCE 1\nQUBITS 2\nCZ 0\x0b1\n", "CZ takes 2 argument(s), got 1 (line 3)"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", UNICODE_BLANKS)
+def test_fields_split_only_at_ascii_blanks(parse, text, message):
+    exc = MatrixFormatError if parse is read_matrix else SequenceSyntaxError
+    with pytest.raises(exc) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_circuit_sniffs_the_first_field():
+    seq = "# comment\n\t SEQUENCE\t1\r\nQUBITS 2\nCZ 0 1\n"
+    assert parse_circuit(seq) == parse_sequence(seq)
+    qasm = _load("bell.qasm")
+    assert parse_circuit(qasm) == parse_qasm(qasm)
+    # A blank outside " \t\r" starts a field, so this is not a SEQUENCE file.
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_circuit("\x0bSEQUENCE 1\nQUBITS 1\n")
+    assert str(info.value) == "unexpected character '\\x0b' (line 1, col 1)"

@@ -5,12 +5,14 @@ simulator or the CLI, the text formats must not import a compiler, no module
 calls ``np.moveaxis``, only ``circuit`` walks and folds single-qubit runs,
 Barenco lowering builds its one ``Circuit`` and checks unitarity only in
 ``lower_circuit`` and takes ZY angles only in ``fill_rotations``, one
-function computes the determinant (the phase split), and no module may pull
+function computes the determinant (the phase split), only ``canonical_angles``
+and ``wrap_angle`` take an angle modulo 2pi, and no module may pull
 in ``scipy.optimize`` (slow to import, and the compiler has no use for a
 numeric solver).  No module reaches for another module's ``_``-prefixed
-names.  No module or test imports a name it never uses; the package
-``__init__`` only re-exports, so it is exempt.  Every small float threshold
-is a named module constant, and no two constants share a value.
+names.  Every function reads each of its parameters.  No module or test
+imports a name it never uses; the package ``__init__`` only re-exports, so
+it is exempt.  Every small float threshold is a named module constant, and
+no two constants share a value.
 """
 
 import ast
@@ -99,6 +101,51 @@ def test_one_phase_split():
     # one function, so the package has one det call.
     calls = {p.name: c["det"] for p in sorted(SRC.glob("*.py")) if (c := _callers(p, ("det",)))}
     assert calls == {"quaternion.py": ["_phase_split"]}
+
+
+def _unread_parameters(path):
+    """``function:parameter`` for each parameter a ``def`` of ``path`` never reads."""
+    unread = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, ast.FunctionDef):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{fn.name}:{p.arg}" for p in params if p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # A parameter no body reads still costs every caller an argument.
+    unread = {p.name: names for p in sorted(SRC.glob("*.py")) if (names := _unread_parameters(p))}
+    assert not unread
+
+
+def _takes_pi_modulus(node):
+    """Whether ``node`` is ``x % m``, or a ``mod``/``fmod``/``remainder`` call, with pi in ``m``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        modulus = node.right
+    elif (isinstance(node, ast.Call) and len(node.args) == 2
+          and getattr(node.func, "attr", getattr(node.func, "id", None))
+          in ("mod", "fmod", "remainder")):
+        modulus = node.args[1]
+    else:
+        return False
+    return any(getattr(n, "attr", getattr(n, "id", None)) in ("pi", "tau")
+               for n in ast.walk(modulus))
+
+
+def test_one_wrap_rule_per_range():
+    # canonical_angles maps angles into [0, 2pi) and wrap_angle into
+    # (-pi, pi]; a second copy of either rule could forget the wrap's phase.
+    found = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef) and any(map(_takes_pi_modulus, ast.walk(fn)))
+    ]
+    assert found == ["circuit.py:canonical_angles", "linalg.py:wrap_angle"]
 
 
 def test_formats_imports_no_compiler():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from reference import dagger
 from test_compiler_inputs import DEGENERATE
 
 from atomqc import circuit as cir
@@ -19,6 +20,8 @@ RNG = np.random.default_rng(55)
 
 def test_gcb_code_values():
     assert [gcb_code(i) for i in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
+    with pytest.raises(ValueError):
+        gcb_code(-1)
 
 
 def test_gcb_permutation_properties():
@@ -36,7 +39,7 @@ def _elimination_ops(u):
     by the daggered eliminations in reverse.
     """
     c = qrd_compile(u, lower=False, drop_controls=False)
-    ops = [g.dagger() for g in reversed(c.gates) if g.kind != "DIAG_PHASE"]
+    ops = [dagger(g) for g in reversed(c.gates) if g.kind != "DIAG_PHASE"]
     diag = cir.Circuit(c.n_qubits, tuple(g for g in c.gates if g.kind == "DIAG_PHASE"))
     return ops, diag
 
@@ -57,7 +60,7 @@ def test_eliminate_ops_are_gray_adjacent():
     u = random_unitary(3, seed=1)
     ops, _ = _elimination_ops(u)
     for op in ops:
-        rows = pair_views(np.arange(8), op.qubits[:-1], op.polarities, op.qubits[-1], 3)
+        rows = pair_views(np.arange(8), op.qubits[:-1], op.polarities, op.qubits[-1])
         (basis_a,), (basis_b,) = (r.ravel() for r in rows)
         assert bin(basis_a ^ basis_b).count("1") == 1
     dim = 8
@@ -100,8 +103,8 @@ def _reference_eliminate_controls(
     for q in sorted(controls):
         idx = controls.index(q)
         kept = (controls[:idx] + controls[idx + 1 :], polarities[:idx] + polarities[idx + 1 :])
-        rows = cir.mix(block, *pair_views(matrix, *kept, target, n_qubits))
-        masks = pair_views(cleared_mask, *kept, target, n_qubits)
+        rows = cir.mix(block, *pair_views(matrix, *kept, target))
+        masks = pair_views(cleared_mask, *kept, target)
         bad = max(np.abs(r[mask]).max(initial=0.0) for r, mask in zip(rows, masks))
         if bad <= threshold:
             controls, polarities = kept

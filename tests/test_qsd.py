@@ -24,6 +24,9 @@ RNG = np.random.default_rng(7)
 def test_multiplexer_angles_single_control():
     alphas = multiplexer_angles([np.pi / 2, np.pi / 2])
     assert np.allclose(alphas, [np.pi / 2, 0.0])
+    # No controls: the one angle comes back bit for bit.
+    for theta in (1.2345678901234567, -3.0, np.pi, 5e-324):
+        assert [a.hex() for a in multiplexer_angles([theta]).tolist()] == [theta.hex()]
 
 
 def test_multiplexer_angles_inverse():

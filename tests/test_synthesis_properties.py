@@ -3,17 +3,18 @@
 Each example is a batch of 2x2 runs: identities and +-I, X/Y/H and
 equatorial rotations, Z rotations, axes a hair off the equator or the pole,
 rotation angles near 0, pi and 2 pi, and Haar samples.  The batch must give,
-row by row, what ``synthesize_run`` gives for that run alone, and every row
+row by row, what a one-run stack gives for that run alone, and every row
 must reconstruct its run.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import synthesize_run
 
 from atomqc.circuit import c_matrix
 from atomqc.linalg import haar_unitary
-from atomqc.quaternion import TOL_RECON, synthesize_run, synthesize_runs
+from atomqc.quaternion import TOL_RECON, synthesize_runs
 
 PI = np.pi
 SIGMA = (
