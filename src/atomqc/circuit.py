@@ -30,9 +30,9 @@ def canonical_angles(angles):
     """Angles in [0, 2pi), and the phases pi * round((angle - canonical) / 2pi) keeping them exact.
 
     RX/RY/RZ/C(theta + 2pi) = -RX/RY/RZ/C(theta): a circuit's phase takes the pi
-    of each wrap.  A float array gives two arrays, a float two floats, alike.
+    of each wrap.  A float array gives two arrays, a float (or 0-d array) two floats.
     """
-    if isinstance(angles, np.ndarray):
+    if isinstance(angles, np.ndarray) and angles.ndim:
         canon = np.mod(angles, 2 * np.pi)
         canon[canon == 2 * np.pi] = 0.0
         return canon, np.pi * np.round((angles - canon) / (2 * np.pi))

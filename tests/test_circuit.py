@@ -17,6 +17,8 @@ def test_rotation_angles_canonicalized():
     assert g.params[0] == pytest.approx(3 * np.pi / 2)
     # -1e-17 mod 2 pi rounds to exactly 2 pi, which must become 0.
     assert cir.rz(-1e-17, 0).params[0] == 0.0
+    # A 0-d array is a float angle.
+    assert cir.rx(np.array(-0.5), 0).params == (2 * np.pi - 0.5,)
 
 
 def _parity_angles():
