@@ -14,7 +14,8 @@ Inputs: Haar unitaries (``random_unitary``) on n = 1..5 qubits, seeds 0-9,
 through QRD (lowered, unlowered, and lowered without control dropping) and
 QSD; each lowered circuit also goes through retarget and SEQUENCE output.
 QSD also compiles seed 0 at n = 6 and 7, where its deepest ladders (5 and 6
-controls) occur, with and without retarget.
+controls) occur, with and without retarget, and QRD seed 0 at n = 6, the
+largest lowered and native circuits (67,414 and 88,491 gates).
 Every OpenQASM file of ``tests/qasm_corpus`` that parses is parsed, rendered
 back to QASM (the ``// global phase`` comment becomes the reparsed circuit's
 phase), and retargeted.  The ``diagnostics`` texts are 200,000 strings over
@@ -80,6 +81,10 @@ def outputs():
         yield f"qsd n={n} seed=0", c, None
         native = retarget_circuit(c)
         yield f"qsd n={n} seed=0 native", native, emit_sequence(native)
+    c = qrd_compile(random_unitary(6, 0))
+    yield "qrd n=6 seed=0", c, None
+    native = retarget_circuit(c)
+    yield "qrd n=6 seed=0 native", native, emit_sequence(native)
     for path in sorted((ROOT / "tests" / "qasm_corpus").glob("*.qasm")):
         try:
             c = parse_qasm(path.read_text(encoding="utf-8"))
