@@ -25,25 +25,32 @@ def _unitary_sqrt(u):
     return (z * roots) @ z.conj().T
 
 
-# Each slot's gates in time order: ``(kind, angle column)`` on the target,
-# a CNOT as ``("CNOT", None)``, and column 5 on the control.  The angle
-# columns are those ``fill_rotations`` builds for the slot's kind.
-_ZYZ = (("RZ", 0), ("RY", 1), ("RZ", 2))
-_ABC = (("RZ", 0), ("CNOT", None), ("RZ", 1), ("RY", 2), ("CNOT", None), ("RY", 3), ("RZ", 4),
-        ("RZ", 5))
+# Each slot's candidate rows in time order, padded to eight: the kind, the
+# row of ``fill_rotations``' keep and angle arrays it reads (6: a CNOT, 7:
+# padding), and its first and second qubit as 0 the target, 1 the control
+# or 2 none.
+_RZ, _RY, _CNOT = (cir.KIND_CODES[k] for k in ("RZ", "RY", "CNOT"))
+_ZYZ = ((_RZ, 0, 0, 2), (_RY, 1, 0, 2), (_RZ, 2, 0, 2)) + ((_RZ, 7, 2, 2),) * 5
+_ABC = ((_RZ, 0, 0, 2), (_CNOT, 6, 1, 0), (_RZ, 1, 0, 2), (_RY, 2, 0, 2), (_CNOT, 6, 1, 0),
+        (_RY, 3, 0, 2), (_RZ, 4, 0, 2), (_RZ, 5, 1, 2))
+_KIND, _ROW, _FIRST, _SECOND = (np.array([[c[i] for c in t] for t in (_ZYZ, _ABC)])
+                                for i in range(4))
 
 
 def fill_rotations(items):
-    """The gates of ``items`` with each slot filled in place, and their global phase.
+    """The gate table of ``items`` with each slot filled in place, and their global phase.
 
     A slot ``(None, q, u)`` becomes RZ(delta) RY(gamma) RZ(beta) on ``q``;
     ``(control, target, u)`` becomes controlled-U by the ABC construction,
     or nothing when ``u`` is the identity to ``TOL_ZERO``.  The angles of
     every slot, their ``TOL_ZERO`` skips, canonical values and wrap phases
     are arrays with one column per rotation; a rotation whose angle is zero
-    to ``TOL_ZERO`` is left out.
+    to ``TOL_ZERO`` is left out.  Each item has eight candidate rows, a gate
+    its own first and a slot its template's; the kept ones are the table.
     """
+    is_slot = np.array([isinstance(item, tuple) for item in items], dtype=bool)
     slots = [item for item in items if isinstance(item, tuple)]
+    fixed = cir.GateTable.from_gates([item for item in items if not isinstance(item, tuple)])
     us = np.reshape([slot[2] for slot in slots], (-1, 2, 2))
     single = np.array([slot[0] is None for slot in slots], dtype=bool)
     alpha, beta, gamma, delta = zy_angles(us)
@@ -61,22 +68,38 @@ def fill_rotations(items):
     canon, wraps = cir.canonical_angles(angles)
     phase = math.fsum([*alpha[single].tolist(), *(alpha[~single & ~skip] / 2).tolist(),
                        *wraps[kept].tolist()])
-    rows = zip(skip.tolist(), kept.T.tolist(), canon.T.tolist())
-    gates = []
-    for item in items:
-        if not isinstance(item, tuple):
-            gates.append(item)
-            continue
-        control, target, _ = item
-        skipped, keep, angle = next(rows)
-        if skipped:
-            continue
-        for kind, k in _ZYZ if control is None else _ABC:
-            if k is None:
-                gates.append(cir.cnot(control, target))
-            elif keep[k]:
-                gates.append(cir.Gate(kind, (control,) if k == 5 else (target,), (angle[k],)))
-    return tuple(gates), phase
+    # Each slot's template rows, (slot, 8), read from the keep and angle
+    # arrays with a CNOT row and a padding row added.
+    template = (~single).astype(np.intp)
+    slot = np.arange(len(slots))[:, None]
+    at = (slot, _ROW[template])
+    keep = np.concatenate([kept, [~single & ~skip, zero.astype(bool)]]).T[at]
+    angle = np.concatenate([canon, [zero, zero]]).T[at]
+    ends = np.array([(t, -1 if c is None else c, -1) for c, t, _ in slots],
+                    dtype=np.int32).reshape(-1, 3)
+    # Candidate rows of every item, (item, 8) and (item, 8, width); the kept ones in order.
+    width, fixed_width = max(fixed.qubits.shape[1], 2), fixed.qubits.shape[1]
+    is_fixed = ~is_slot
+    keeps = np.zeros((len(items), 8), dtype=bool)
+    kinds = np.zeros((len(items), 8), dtype=np.int8)
+    params = np.zeros((len(items), 8, 2))
+    qubits = np.full((len(items), 8, width), -1, dtype=np.int32)
+    polarities = np.full((len(items), 8, width), -1, dtype=np.int8)
+    keeps[is_fixed, 0] = True
+    kinds[is_fixed, 0] = fixed.kinds
+    params[is_fixed, 0] = fixed.params
+    qubits[is_fixed, 0, :fixed_width] = fixed.qubits
+    polarities[is_fixed, 0, :fixed_width] = fixed.polarities
+    keeps[is_slot] = keep
+    kinds[is_slot] = _KIND[template]
+    params[is_slot, :, 0] = angle
+    qubits[is_slot, :, 0] = ends[slot, _FIRST[template]]
+    qubits[is_slot, :, 1] = ends[slot, _SECOND[template]]
+    keeps = keeps.ravel()
+    table = cir.GateTable(kinds.ravel()[keeps], qubits.reshape(-1, width)[keeps],
+                          params.reshape(-1, 2)[keeps], polarities.reshape(-1, width)[keeps],
+                          fixed.matrices)
+    return table, phase
 
 
 def _mcx_ladder(gates, controls, target, idle):
@@ -166,5 +189,5 @@ def lower_circuit(c):
             items.extend(flips)
         else:
             items.append(g)
-    gates, slot_phase = fill_rotations(items)
-    return cir.Circuit(c.n_qubits, gates, phase + slot_phase)
+    table, slot_phase = fill_rotations(items)
+    return cir.Circuit.from_table(c.n_qubits, table, phase + slot_phase)

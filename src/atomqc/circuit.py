@@ -11,9 +11,9 @@ Conventions, used everywhere in the package:
 Gates and circuits are immutable value types.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -23,7 +23,16 @@ from .linalg import is_unitary, wrap_angle
 
 SINGLE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1"})
 ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "MCU", "MCX"})
-GATE_KINDS = SINGLE_QUBIT_KINDS | ENTANGLING_KINDS | {"DIAG_PHASE"}
+# A kind's code in a ``GateTable`` is its place here.
+KINDS = ("RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1", "CNOT", "CZ", "CCZ", "MCU", "MCX",
+         "DIAG_PHASE")
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+GATE_KINDS = frozenset(KINDS)
+# Angles per kind (none for the rest), and the kinds with a matrix or polarities.
+_N_PARAMS = {"RX": 1, "RY": 1, "RZ": 1, "C": 2, "PHASE": 1, "DIAG_PHASE": 1}
+_MATRIX_KINDS = frozenset({"U1", "MCU"})
+_HAS_MATRIX = np.array([kind in _MATRIX_KINDS for kind in KINDS])
+_POLARITY_KINDS = frozenset({"MCU", "MCX", "DIAG_PHASE"})
 
 
 def canonical_angles(angles):
@@ -212,34 +221,25 @@ _ANGLE_MATRICES = {
 _FIXED_MATRICES = {"H": HADAMARD, "X": PAULI_X}
 
 
-def local_matrices(gates):
-    """The 2x2 of every single-qubit gate in ``gates``, as one ``(len, 2, 2)`` array.
-
-    One array pass per kind: RX/RY/RZ/C/PHASE from their angle columns, H
-    and X as constants, U1 as carried, and a one-qubit DIAG_PHASE as its
-    ``controlled_block``.
-    """
-    out = np.empty((len(gates), 2, 2), dtype=complex)
-    by_kind = {}
-    for i, g in enumerate(gates):
-        by_kind.setdefault(g.kind, []).append(i)
-    for kind, idx in by_kind.items():
-        if kind in _ANGLE_MATRICES:
-            out[idx] = _ANGLE_MATRICES[kind](*np.array([gates[i].params for i in idx]).T)
-        elif kind in _FIXED_MATRICES:
-            out[idx] = _FIXED_MATRICES[kind]
-        elif kind == "U1":
-            out[idx] = [gates[i].matrix for i in idx]
-        elif kind == "DIAG_PHASE" and all(gates[i].is_single_qubit for i in idx):
-            out[idx] = [controlled_block(gates[i])[3] for i in idx]
-        else:
-            raise ValueError(f"{kind} has no single-qubit matrix; use controlled_block")
-    return out
+def _kind_matrices(kind, params):
+    """The 2x2s of single-qubit gates of one angle or fixed ``kind``, from their ``(k, p)`` angles."""
+    if kind in _ANGLE_MATRICES:
+        return _ANGLE_MATRICES[kind](*params.T)
+    if kind in _FIXED_MATRICES:
+        return np.broadcast_to(_FIXED_MATRICES[kind], (len(params), 2, 2))
+    raise ValueError(f"{kind} has no single-qubit matrix; use controlled_block")
 
 
 def gate_local_matrix(g):
-    """The 2x2 matrix of a single-qubit kind; ``controlled_block`` covers every kind."""
-    return local_matrices((g,))[0]
+    """The 2x2 matrix of a single-qubit kind; ``controlled_block`` covers every kind.
+
+    Bit for bit the matrix ``GateTable.local_matrices`` gives ``g``'s row.
+    """
+    if g.kind == "U1":
+        return np.array(g.matrix, dtype=complex)
+    if g.kind == "DIAG_PHASE" and g.is_single_qubit:
+        return controlled_block(g)[3]
+    return _kind_matrices(g.kind, np.array([g.params], dtype=float))[0]
 
 
 def controlled_block(g):
@@ -311,87 +311,66 @@ def mix(block, a, b):
     return block[0, 0] * a + block[0, 1] * b, block[1, 0] * a + block[1, 1] * b
 
 
-def _fold(mats, run_of, n_runs):
+def _fold(mats, lengths):
     """Product of each run's matrices, later ones on the left.
 
-    ``mats[j]`` belongs to run ``run_of[j]``, in gate order within each
-    run; one batched matmul per position in a run.
+    Run r's matrices are the next ``lengths[r]`` of ``mats``, in time
+    order.  One batched matmul per position in a run: with the runs taken
+    longest first, those that reach a position are a leading slice.
     """
-    lengths = np.bincount(run_of, minlength=n_runs)
-    # Position of each matrix in its run: its place in run order less the
-    # place where its run starts.
-    depth = np.empty_like(run_of)
-    depth[np.argsort(run_of, kind="stable")] = np.arange(len(run_of)) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    us = np.broadcast_to(np.eye(2, dtype=complex), (n_runs, 2, 2)).copy()
-    by_depth = np.argsort(depth, kind="stable")
-    for idx in np.split(by_depth, np.cumsum(np.bincount(depth))[:-1]):
-        r = run_of[idx]
-        us[r] = mats[idx] @ us[r]
-    return us
+    by_length = (-lengths).argsort()
+    starts = (lengths.cumsum() - lengths)[by_length]
+    reach = (len(lengths) - np.bincount(lengths).cumsum()).tolist()  # runs longer than each depth
+    us = np.zeros((len(lengths), 2, 2), dtype=complex)
+    us[:, 0, 0] = us[:, 1, 1] = 1.0
+    for depth, k in enumerate(reach[:-1]):
+        us[:k] = mats[starts[:k] + depth] @ us[:k]
+    return us[by_length.argsort()]
 
 
-# The Hadamard ``collect_runs`` puts around a conjugated gate; its matrix
-# does not depend on the qubit.
-_HADAMARD_GATE = h(0)
+def collect_runs(c, on=None):
+    """The slots of circuit ``c`` in time order, its runs and each run's fused 2x2, as arrays.
 
-
-def collect_runs(gates, conjugate=None):
-    """One pass over ``gates``: the slots in order, the runs and each run's fused 2x2.
-
-    A run is a qubit's maximal stretch of single-qubit gates.  Every run and
-    every multi-qubit gate takes one slot, in gate order: a gate's slot
-    holds the gate, a run's holds its index into ``runs``, at the place
-    where the run began.  That place is exact, as every gate up to the run's
-    end acts on other qubits.  A run is ``(qubit, index of the gate where it
-    began)``; ``us[r]`` is run r's product, later gates on the left, or
-    ``us`` is None when there is no run.
-
-    ``conjugate(g)``, if given, maps each multi-qubit gate to ``(gate,
-    qubit)``: ``gate`` takes the slot and, unless ``qubit`` is None, a
-    Hadamard on ``qubit`` before and after it joins that qubit's runs.  Its
-    answer must depend only on the gate's kind, qubits and polarities: it is
-    asked once per distinct triple, so equal gates share one output gate.
-    The per-gate matrices are freed on return.
+    A run is a qubit's maximal stretch of single-qubit gates: the run of a
+    single-qubit row is (its qubit, the number of multi-qubit rows on that
+    qubit before it).  ``on``, if given, holds per row a qubit or -1 (-1 on
+    every single-qubit row): a Hadamard on that qubit before and after a
+    multi-qubit row joins run k and run k + 1 of the qubit, k counted as
+    for a single-qubit row.  Runs are numbered by their first element;
+    ``runs[r]`` is ``(qubit, row where run r began)``.  Every run and every
+    multi-qubit row takes one slot, in time order, a run at the place where
+    it began: ``slots[j]`` is r >= 0 for run r and ``~row`` for a
+    multi-qubit row.  That place is exact, as every row up to the run's end
+    acts on other qubits.  ``us[r]`` is run r's product, later elements on
+    the left.
     """
-    slots, ones, run_of, runs = [], [], [], []
-    open_runs = {}  # qubit -> index into runs of its open run
-    rewrites = {}  # (kind, qubits, polarities) -> conjugate's answer
-    for i, g in enumerate(gates):
-        qubits = g.qubits
-        if len(qubits) == 1:
-            q = qubits[0]
-        else:
-            q = None
-            if conjugate is not None:
-                key = (g.kind, qubits, g.polarities)
-                hit = rewrites.get(key)
-                if hit is None:
-                    hit = rewrites[key] = conjugate(g)
-                g, q = hit
-            if q is not None:
-                r = open_runs.get(q)
-                if r is None:
-                    r = open_runs[q] = len(runs)
-                    runs.append((q, i))
-                    slots.append(r)
-                ones.append(_HADAMARD_GATE)
-                run_of.append(r)
-            for p in g.qubits:
-                open_runs.pop(p, None)
-            slots.append(g)
-            if q is None:
-                continue
-            g = _HADAMARD_GATE  # the second one opens q's next run
-        r = open_runs.get(q)
-        if r is None:
-            r = open_runs[q] = len(runs)
-            runs.append((q, i))
-            slots.append(r)
-        ones.append(g)
-        run_of.append(r)
-    us = _fold(local_matrices(ones), np.array(run_of), len(runs)) if runs else None
+    t = c.table
+    # Each row's entries in time order: the Hadamard before it, its qubits,
+    # the Hadamard after it.  A stable sort by qubit keeps that order, and
+    # each run's elements (single-qubit rows and Hadamards) are consecutive.
+    grid = t.qubits if on is None else np.concatenate([on[:, None], t.qubits, on[:, None]], 1)
+    row, col = (grid >= 0).nonzero()
+    qubit = grid[row, col]
+    element = (t.widths == 1)[row]
+    hadamard = np.zeros_like(element) if on is None else col % (grid.shape[1] - 1) == 0
+    element |= hadamard
+    order = qubit.argsort(kind="stable")
+    qubit, sorted_element = qubit[order], element[order]
+    first = sorted_element.copy()
+    first[1:] &= ~sorted_element[:-1] | (qubit[1:] != qubit[:-1])
+    begins = order[first]  # each run's first entry, an index in time order
+    by_time = begins.argsort()
+    runs = np.array([qubit[first], row[begins]]).T[by_time]
+    els = order[sorted_element]
+    h = hadamard[els]
+    mats = np.empty((len(els), 2, 2), dtype=complex)
+    mats[h] = HADAMARD
+    mats[~h] = t.local_matrices(row[els[~h]])
+    us = _fold(mats, np.bincount(first[sorted_element].cumsum() - 1))[by_time]
+    # Slots: a run at its first element, a multi-qubit row at its first qubit.
+    gate_at = (~element & (col == (on is not None))).nonzero()[0]
+    keys = np.concatenate([begins[by_time], gate_at])
+    slots = np.concatenate([np.arange(len(begins)), ~row[gate_at]])[keys.argsort()]
     return slots, runs, us
 
 
@@ -408,21 +387,164 @@ class GateCounts:
         return sum(v for k, v in self.per_kind.items() if k in SINGLE_QUBIT_KINDS)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple = ()
-    global_phase: float = 0.0
+def _padded(rows, width, dtype, fill=-1):
+    """Sequences of at most ``width`` numbers as one ``(len(rows), width)`` array padded with ``fill``."""
+    out = np.full((len(rows), width), fill, dtype=dtype)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    out[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(rows))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class GateTable:
+    """The columns of a gate sequence, one row per gate in time order; read-only arrays.
+
+    ``kinds`` holds each gate's place in ``KINDS``.  ``qubits`` is ``(m, w)``,
+    controls first and target last, padded with -1; ``w`` is at least the
+    widest gate's qubit count.  ``params`` is ``(m, 2)``: the kind's angles, then 0.0.
+    ``polarities`` is ``(m, w)`` from column 0, padded with -1: an MCU's or
+    MCX's control polarities, a DIAG_PHASE's pattern.  ``matrices`` stacks
+    the 2x2s of the U1 and MCU rows, in row order.
+    """
+
+    kinds: np.ndarray
+    qubits: np.ndarray
+    params: np.ndarray
+    polarities: np.ndarray
+    matrices: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
-        # Gates share few qubit tuples; each distinct one, in gate order, is checked once.
-        for qubits in dict.fromkeys(map(attrgetter("qubits"), self.gates)):
-            check_qubits(qubits, self.n_qubits)
+        for column in (self.kinds, self.qubits, self.params, self.polarities, self.matrices):
+            column.flags.writeable = False
 
     def __len__(self):
-        return len(self.gates)
+        return len(self.kinds)
+
+    @classmethod
+    def from_gates(cls, gates):
+        qubits = [g.qubits for g in gates]
+        width = max(map(len, qubits), default=1)
+        return cls(
+            np.array([KIND_CODES[g.kind] for g in gates], dtype=np.int8),
+            _padded(qubits, width, np.int32),
+            _padded([g.params for g in gates], 2, float, 0.0),
+            _padded([g.polarities or () for g in gates], width, np.int8),
+            np.array([g.matrix for g in gates if g.kind in _MATRIX_KINDS],
+                     dtype=complex).reshape(-1, 2, 2),
+        )
+
+    @cached_property
+    def widths(self):
+        """The number of qubits of each row."""
+        return np.count_nonzero(self.qubits >= 0, axis=1)
+
+    @cached_property
+    def _matrix_of(self):
+        """Each row's index into ``matrices``, valid on U1 and MCU rows."""
+        return np.cumsum(_HAS_MATRIX[self.kinds]) - 1
+
+    def to_gates(self, rows=slice(None)):
+        """The ``Gate`` of each of ``rows`` (every row by default), in order."""
+        columns = (self.kinds, self.widths, self.qubits, self.params, self.polarities,
+                   self._matrix_of)
+        gates = []
+        for k, w, qubits, params, polarities, j in zip(*(col[rows].tolist() for col in columns)):
+            kind = KINDS[k]
+            gates.append(Gate(
+                kind, tuple(qubits[:w]), tuple(params[:_N_PARAMS.get(kind, 0)]),
+                self.matrices[j] if kind in _MATRIX_KINDS else None,
+                tuple(p for p in polarities if p >= 0) if kind in _POLARITY_KINDS else None,
+            ))
+        return gates
+
+    def local_matrices(self, rows):
+        """The 2x2 of each of ``rows``, single-qubit rows, as one ``(len(rows), 2, 2)`` array.
+
+        One array pass per kind: RX/RY/RZ/C/PHASE from their angle columns,
+        H and X as constants, U1 from ``matrices``, and a one-qubit
+        DIAG_PHASE as its ``controlled_block``.
+        """
+        kinds = self.kinds[rows]
+        out = np.empty((len(rows), 2, 2), dtype=complex)
+        for k in np.bincount(kinds).nonzero()[0].tolist():
+            idx = (kinds == k).nonzero()[0]
+            at = rows[idx]
+            kind = KINDS[k]
+            if kind == "U1":
+                out[idx] = self.matrices[self._matrix_of[at]]
+            elif kind == "DIAG_PHASE":
+                out[idx] = [controlled_block(g)[3] for g in self.to_gates(at)]
+            else:
+                out[idx] = _kind_matrices(kind, self.params[at, :_N_PARAMS.get(kind, 0)])
+        return out
+
+
+class Circuit:
+    """``gates`` on ``n_qubits`` qubits in time order, then ``e^{i global_phase}``.
+
+    Immutable.  The gates have two forms, each built from the other on
+    first use: ``gates``, the tuple of ``Gate``s (the same tuple on every
+    read), and ``table``, their ``GateTable``.  ``Circuit(n, gates, phase)``
+    starts from the gates; a stage that writes columns starts from the
+    table (``from_table``), so no ``Gate`` is built until ``gates`` is read.
+    """
+
+    __slots__ = ("_n_qubits", "_global_phase", "_gates", "_table")
+
+    def __init__(self, n_qubits, gates=(), global_phase=0.0):
+        self._fill(n_qubits, global_phase, tuple(gates), None)
+        # Gates share few qubit tuples; each distinct one, in gate order, is checked once.
+        for qubits in dict.fromkeys(map(attrgetter("qubits"), self._gates)):
+            check_qubits(qubits, n_qubits)
+
+    @classmethod
+    def from_table(cls, n_qubits, table, global_phase=0.0):
+        """The circuit of ``table``'s rows; raises ``QubitOutOfRange`` as ``Circuit`` does."""
+        c = cls.__new__(cls)
+        c._fill(n_qubits, global_phase, None, table)
+        if table.qubits.max(initial=-1) >= n_qubits:
+            # The first one row by row, controls first, as ``Circuit`` finds it.
+            check_qubits((int(table.qubits[table.qubits >= n_qubits][0]),), n_qubits)
+        return c
+
+    def _fill(self, n_qubits, global_phase, gates, table):
+        if n_qubits < 1:
+            raise ValueError("circuit needs at least one qubit")
+        self._n_qubits, self._global_phase, self._gates, self._table = (
+            n_qubits, global_phase, gates, table)
+
+    @property
+    def n_qubits(self):
+        return self._n_qubits
+
+    @property
+    def global_phase(self):
+        return self._global_phase
+
+    @property
+    def gates(self):
+        if self._gates is None:
+            self._gates = tuple(self._table.to_gates())
+        return self._gates
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = GateTable.from_gates(self._gates)
+        return self._table
+
+    def __len__(self):
+        return len(self._table if self._gates is None else self._gates)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_qubits, self.gates, self.global_phase) == (
+            other.n_qubits, other.gates, other.global_phase)
+
+    def __repr__(self):
+        return (f"Circuit(n_qubits={self.n_qubits!r}, gates={self.gates!r}, "
+                f"global_phase={self.global_phase!r})")
 
 
 def check_qubits(qubits, n_qubits):
@@ -433,6 +555,7 @@ def check_qubits(qubits, n_qubits):
 
 
 def gate_counts(circuit):
-    per_kind = Counter(g.kind for g in circuit.gates)
+    per_kind = np.bincount(circuit.table.kinds, minlength=len(KINDS)).tolist()
+    per_kind = {kind: count for kind, count in zip(KINDS, per_kind) if count}
     entangling = sum(v for k, v in per_kind.items() if k in ENTANGLING_KINDS)
-    return GateCounts(dict(per_kind), entangling)
+    return GateCounts(per_kind, entangling)

@@ -60,4 +60,8 @@ class SequenceSyntaxError(AtomqcError):
 
 
 class MatrixFormatError(AtomqcError):
-    pass
+    """A malformed matrix file; ``line``, if known, is the 1-based file line."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
+        self.line = line

@@ -324,22 +324,27 @@ _BLANKS = " \t\r"
 _BLANK_RE = re.compile(f"[{_BLANKS}]+")
 
 
+_C, _CZ, _CCZ = (cir.KIND_CODES[k] for k in ("C", "CZ", "CCZ"))
+_NATIVE = np.isin(np.arange(len(cir.KINDS)), (_C, _CZ, _CCZ))
+
+
 def emit_sequence(c):
     """Serialize a native {C, CZ, CCZ} circuit as a SEQUENCE v1 file."""
+    t = c.table
+    bad = np.flatnonzero(~_NATIVE[t.kinds])
+    if bad.size:
+        raise UnsupportedGate(f"{cir.KINDS[t.kinds[bad[0]]]} is not a native pulse instruction; "
+                              "retarget the circuit first")
     lines = ["SEQUENCE 1", f"QUBITS {c.n_qubits}"]
     if abs(c.global_phase) > 0:
         lines.append(f"PHASE {_fmt(c.global_phase)}")
-    for g in c.gates:
-        if g.kind == "C":
-            lines.append(f"C {g.qubits[0]} {_fmt(g.params[0])} {_fmt(g.params[1])}")
-        elif g.kind == "CZ":
-            lines.append(f"CZ {g.qubits[0]} {g.qubits[1]}")
-        elif g.kind == "CCZ":
-            lines.append(f"CCZ {g.qubits[0]} {g.qubits[1]} {g.qubits[2]}")
+    for kind, qubits, (theta, phi) in zip(t.kinds.tolist(), t.qubits.tolist(), t.params.tolist()):
+        if kind == _C:
+            lines.append(f"C {qubits[0]} {theta:.17g} {phi:.17g}")
+        elif kind == _CZ:
+            lines.append(f"CZ {qubits[0]} {qubits[1]}")
         else:
-            raise UnsupportedGate(
-                f"{g.kind} is not a native pulse instruction; retarget the circuit first"
-            )
+            lines.append(f"CCZ {qubits[0]} {qubits[1]} {qubits[2]}")
     return "\n".join(lines) + "\n"
 
 
@@ -449,26 +454,28 @@ def write_matrix(m):
 
 def read_matrix(text):
     """Parse the matrix text format, validating shape and unitarity."""
-    # Only "\n" ends a line, as in parse_sequence.
-    lines = [ln for ln in (raw.split("#", 1)[0].strip(_BLANKS) for raw in text.split("\n")) if ln]
+    # Only "\n" ends a line, as in parse_sequence; each line keeps its 1-based number.
+    lines = [(n, ln) for n, ln in enumerate(
+        (raw.split("#", 1)[0].strip(_BLANKS) for raw in text.split("\n")), start=1) if ln]
     if not lines:
         raise MatrixFormatError("empty matrix file")
-    if not re.fullmatch(r"[+-]?[0-9]+", lines[0]):  # int() also reads other digits and "1_0"
-        raise MatrixFormatError(f"bad dimension line {lines[0]!r}")
-    dim = int(lines[0])
+    head = lines[0][1]
+    if not re.fullmatch(r"[+-]?[0-9]+", head):  # int() also reads other digits and "1_0"
+        raise MatrixFormatError(f"bad dimension line {head!r}")
+    dim = int(head)
     if dim < 1:
         raise MatrixFormatError(f"dimension must be positive, got {dim}")
     if len(lines) != dim + 1:
         raise MatrixFormatError(f"expected {dim} rows, got {len(lines) - 1}")
     m = np.zeros((dim, dim), dtype=complex)
-    for i, line in enumerate(lines[1:]):
+    for i, (lineno, line) in enumerate(lines[1:]):
         entries = _BLANK_RE.split(line)
         if len(entries) != dim:
-            raise MatrixFormatError(f"row {i} has {len(entries)} entries, expected {dim}")
+            raise MatrixFormatError(f"row {i} has {len(entries)} entries, expected {dim}", lineno)
         for j, token in enumerate(entries):
             em = _ENTRY_RE.match(token)
             if em is None:
-                raise MatrixFormatError(f"bad entry {token!r} at row {i}, column {j}")
+                raise MatrixFormatError(f"bad entry {token!r} at row {i}, column {j}", lineno)
             m[i, j] = complex(float(em.group("re")), float(em.group("im")))
     check_unitary(m, what="input matrix")
     return m

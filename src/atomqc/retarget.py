@@ -18,19 +18,26 @@ from .quaternion import TOL_RECON, synthesize_runs
 __all__ = ["retarget_circuit"]
 
 
-def _entangling_rewrite(g):
-    """Native gate for ``g`` and the qubit its H-conjugation acts on, or None.
+_CZ, _CCZ, _CNOT, _MCX = (cir.KIND_CODES[k] for k in ("CZ", "CCZ", "CNOT", "MCX"))
+_C = cir.KIND_CODES["C"]
 
-    CNOT -> H CZ H and Toffoli -> H CCZ H on the target; CZ and CCZ pass
-    through.
+
+def _entangling_rewrite(t):
+    """The native kind of each row of table ``t`` and the qubit its H-conjugation acts on, or -1.
+
+    CNOT -> H CZ H and Toffoli -> H CCZ H on the target; CZ, CCZ and
+    single-qubit rows pass through.
     """
-    if g.kind == "CNOT":
-        return cir.cz(*g.qubits), g.qubits[1]
-    if g.is_toffoli:
-        return cir.ccz(*g.qubits), g.qubits[2]
-    if g.kind in ("CZ", "CCZ"):
-        return g, None
-    raise UnsupportedGate(f"cannot retarget {g.kind} gate; lower it first")
+    kinds = t.kinds.copy()
+    target = t.qubits[np.arange(len(t)), t.widths - 1]
+    cnot = kinds == _CNOT
+    toffoli = (kinds == _MCX) & (t.widths == 3) & np.all(t.polarities[:, :2] == 1, axis=1)
+    kinds[cnot], kinds[toffoli] = _CZ, _CCZ
+    on = np.where(cnot | toffoli, target, -1)
+    bad = np.flatnonzero((t.widths > 1) & (kinds != _CZ) & (kinds != _CCZ))
+    if bad.size:
+        raise UnsupportedGate(f"cannot retarget {cir.KINDS[kinds[bad[0]]]} gate; lower it first")
+    return kinds, on
 
 
 def retarget_circuit(c, tol=TOL_RECON):
@@ -41,33 +48,40 @@ def retarget_circuit(c, tol=TOL_RECON):
     gate touches that qubit (or the circuit ends) and keeping the run's slot
     where it began, so the gate order holds; one ``synthesize_runs`` call
     then turns every run into pulses, whose angles are canonicalized as
-    arrays; CNOTs (Toffolis) on the same qubits share one CZ (CCZ) gate.
-    A failing run raises ``NotUnitary``
+    arrays, and each slot's rows are written at its offset in the output
+    table.  A failing run raises ``NotUnitary``
     or ``SynthesisFailure`` naming its qubit and first input gate.
     Raises ``UnsupportedGate`` for any gate outside
     {single-qubit, CNOT, Toffoli, CZ, CCZ}; multi-controlled and matrix
     gates must be lowered first.
     """
-    slots, runs, us = cir.collect_runs(c.gates, _entangling_rewrite)
-    phase = c.global_phase
-    gates = []
-    if runs:
-        try:
-            counts, tp = synthesize_runs(us, tol)
-        except (NotUnitary, SynthesisFailure) as exc:
-            q, start = runs[exc.row]
-            raise type(exc)(f"run on qubit {q} from input gate {start}: {exc}") from exc
-        counts = counts.tolist()
-        angles = np.stack([tp.theta1, tp.phi1, tp.theta2, tp.phi2])
-        theta1, phi1, theta2, phi2 = cir.canonical_angles(angles)[0].tolist()
-        phase += math.fsum(tp.gamma)
-    for s in slots:
-        if not isinstance(s, int):
-            gates.append(s)
-            continue
-        on = (runs[s][0],)
-        if counts[s]:
-            gates.append(cir.Gate("C", on, (theta1[s], phi1[s])))
-        if counts[s] == 2:
-            gates.append(cir.Gate("C", on, (theta2[s], phi2[s])))
-    return cir.Circuit(c.n_qubits, tuple(gates), wrap_angle(phase))
+    t = c.table
+    kinds, on = _entangling_rewrite(t)
+    slots, runs, us = cir.collect_runs(c, on)
+    try:
+        counts, tp = synthesize_runs(us, tol)
+    except (NotUnitary, SynthesisFailure) as exc:
+        q, start = runs[exc.row].tolist()
+        raise type(exc)(f"run on qubit {q} from input gate {start}: {exc}") from exc
+    pulses = cir.canonical_angles(np.stack([tp.theta1, tp.phi1, tp.theta2, tp.phi2]))[0]
+    # A run's slot takes its pulses, a multi-qubit row's slot the native row.
+    is_run = slots >= 0
+    is_row = ~is_run
+    run, rows = slots[is_run], ~slots[is_row]
+    size = np.ones(len(slots), dtype=np.intp)
+    size[is_run] = counts[run]
+    at = size.cumsum() - size
+    out_kinds = np.full(size.sum(), _C, dtype=np.int8)
+    qubits = np.full((len(out_kinds), t.qubits.shape[1]), -1, dtype=t.qubits.dtype)
+    params = np.zeros((len(out_kinds), 2))
+    out_kinds[at[is_row]] = kinds[rows]
+    qubits[at[is_row]] = t.qubits[rows]
+    for k in (1, 2):
+        fired = counts[run] >= k
+        pulse_rows = at[is_run][fired] + (k - 1)
+        qubits[pulse_rows, 0] = runs[run[fired], 0]
+        params[pulse_rows] = pulses[2 * k - 2: 2 * k, run[fired]].T
+    table = cir.GateTable(out_kinds, qubits, params, np.full(qubits.shape, -1, dtype=np.int8),
+                          np.empty((0, 2, 2), dtype=complex))
+    return cir.Circuit.from_table(c.n_qubits, table,
+                                  wrap_angle(c.global_phase + math.fsum(tp.gamma)))

@@ -15,6 +15,12 @@ from .linalg import MAX_QUBITS, phase_distance
 # Phase-invariant Frobenius distance below which a circuit passes ``verify``.
 VERIFY_TOL = 1e-7
 
+# How apply_circuit treats a multi-qubit row, by kind code: CZ and CCZ flip
+# signs, an X block swaps, MCU and DIAG_PHASE carry a block of their own.
+_SIGN_FLIP = {cir.KIND_CODES["CZ"], cir.KIND_CODES["CCZ"]}
+_SWAP = {cir.KIND_CODES["CNOT"], cir.KIND_CODES["MCX"]}
+_OWN_BLOCK = {cir.KIND_CODES["MCU"], cir.KIND_CODES["DIAG_PHASE"]}
+
 
 def apply_gate(u, g, n_qubits):
     """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``, in place.
@@ -47,27 +53,34 @@ def apply_circuit(u, c):
         raise DimMismatch(f"{u.shape[0]} rows for a {n}-qubit circuit")
     if not u.flags.c_contiguous:
         raise ValueError("apply_circuit needs a C-contiguous array")
-    slots, runs, us = cir.collect_runs(c.gates)
+    slots, runs, us = cir.collect_runs(c)
+    t = c.table
     # One batched 2x2 matmul per run over the view (2^q, 2, rest) of its
     # qubit: fewer array passes than the general mix, equal up to rounding.
     run_views = [u.reshape(cir.block_index((), (), q)[0]) for q in range(n)]
-    signs = {}  # qubits -> the rows a CZ or CCZ on them negates
-    for s in slots:
-        if isinstance(s, int):
-            v = run_views[runs[s][0]]
+    run_qubits = runs[:, 0].tolist()
+    rows = ~slots[slots < 0]
+    gate_rows = zip(rows.tolist(), t.kinds[rows].tolist(), map(tuple, t.qubits[rows].tolist()),
+                    map(tuple, t.polarities[rows].tolist()))
+    ops = {}  # (kind, qubits, polarities), or the row of an MCU/DIAG_PHASE -> (a, b, block)
+    for s in slots.tolist():
+        if s >= 0:
+            v = run_views[run_qubits[s]]
             v[...] = us[s] @ v
-        elif s.kind in ("CZ", "CCZ"):
-            b = signs.get(s.qubits)
-            if b is None:
-                b = signs[s.qubits] = cir.pair_views(u, *cir.controlled_block(s)[:3])[1]
+            continue
+        row, kind, qubits, polarities = next(gate_rows)
+        key = row if kind in _OWN_BLOCK else (kind, qubits, polarities)
+        op = ops.get(key)
+        if op is None:
+            controls, polarities, target, block = cir.controlled_block(t.to_gates([row])[0])
+            op = ops[key] = (*cir.pair_views(u, controls, polarities, target), block)
+        a, b, block = op
+        if kind in _SIGN_FLIP:
             np.negative(b, out=b)
+        elif kind in _SWAP:
+            a[...], b[...] = b, a.copy()
         else:
-            controls, polarities, target, block = cir.controlled_block(s)
-            a, b = cir.pair_views(u, controls, polarities, target)
-            if s.kind in ("CNOT", "MCX"):
-                a[...], b[...] = b, a.copy()
-            else:
-                a[...], b[...] = cir.mix(block, a, b)
+            a[...], b[...] = cir.mix(block, a, b)
     u *= np.exp(1j * c.global_phase)
     return u
 

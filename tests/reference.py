@@ -2,8 +2,9 @@
 
 ``dagger`` inverts a gate, ``quaternion_to_unitary`` inverts
 ``quaternion_from_unitary``, ``csd_product`` and ``demux_d`` multiply QSD's
-factors back together, and ``synthesize_run`` is the one-run case of
-``synthesize_runs``.
+factors back together, ``synthesize_run`` is the one-run case of
+``synthesize_runs``, and ``collect_runs`` walks a circuit's runs gate by
+gate, as ``circuit.collect_runs`` does with arrays.
 """
 
 from dataclasses import replace
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from atomqc.circuit import canonical_angles
+from atomqc.circuit import HADAMARD, canonical_angles
 from atomqc.linalg import wrap_angle
 from atomqc.quaternion import TOL_RECON, synthesize_runs
 
@@ -63,3 +64,66 @@ def synthesize_run(u, tol=TOL_RECON):
     counts, tp = synthesize_runs(np.asarray(u)[None], tol)
     pulses = ((tp.theta1[0], tp.phi1[0]), (tp.theta2[0], tp.phi2[0]))
     return pulses[: counts[0]], tp.gamma[0]
+
+
+def _fold_by_depth(mats, run_of, n_runs):
+    """Product of each run's matrices, later ones on the left.
+
+    ``mats[j]`` belongs to run ``run_of[j]``, in gate order within each
+    run; one batched matmul per position in a run.
+    """
+    lengths = np.bincount(run_of, minlength=n_runs)
+    # Position of each matrix in its run: its place in run order less the
+    # place where its run starts.
+    depth = np.empty_like(run_of)
+    depth[np.argsort(run_of, kind="stable")] = np.arange(len(run_of)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    us = np.broadcast_to(np.eye(2, dtype=complex), (n_runs, 2, 2)).copy()
+    by_depth = np.argsort(depth, kind="stable")
+    for idx in np.split(by_depth, np.cumsum(np.bincount(depth))[:-1]):
+        r = run_of[idx]
+        us[r] = mats[idx] @ us[r]
+    return us
+
+
+def collect_runs(c, on=None):
+    """``circuit.collect_runs`` as one pass over the gates: ``(slots, runs, us)`` as lists.
+
+    An open run per qubit; a multi-qubit gate closes the runs of its qubits,
+    after a Hadamard on ``on[i]`` (if given and >= 0) joins that qubit's
+    open run and before a second one opens its next run.
+    """
+    slots, elements, run_of, runs = [], [], [], []
+    open_runs = {}  # qubit -> index into runs of its open run
+    for i, g in enumerate(c.gates):
+        if len(g.qubits) == 1:
+            q, element = g.qubits[0], i
+        else:
+            q = None if on is None or on[i] < 0 else int(on[i])
+            if q is not None:
+                r = open_runs.get(q)
+                if r is None:
+                    r = open_runs[q] = len(runs)
+                    runs.append((q, i))
+                    slots.append(r)
+                elements.append(-1)  # a Hadamard
+                run_of.append(r)
+            for p in g.qubits:
+                open_runs.pop(p, None)
+            slots.append(~i)
+            if q is None:
+                continue
+            element = -1  # the second Hadamard opens q's next run
+        r = open_runs.get(q)
+        if r is None:
+            r = open_runs[q] = len(runs)
+            runs.append((q, i))
+            slots.append(r)
+        elements.append(element)
+        run_of.append(r)
+    elements = np.array(elements, dtype=np.intp)
+    mats = np.empty((len(elements), 2, 2), dtype=complex)
+    mats[elements < 0] = HADAMARD
+    mats[elements >= 0] = c.table.local_matrices(elements[elements >= 0])
+    return slots, runs, _fold_by_depth(mats, np.array(run_of, dtype=np.intp), len(runs))

@@ -25,8 +25,8 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _lowered_1q(u):
-    gates, phase = fill_rotations([(None, 0, u)])
-    return cir.Circuit(1, tuple(gates), phase)
+    table, phase = fill_rotations([(None, 0, u)])
+    return cir.Circuit.from_table(1, table, phase)
 
 
 def _lowered(n, g):
@@ -253,7 +253,7 @@ def test_fill_rotations_matches_per_rotation_reference(monkeypatch):
     def checked(items):
         got = fill_rotations(items)
         want = _reference_fill_rotations(items)
-        assert got[0] == want[0]
+        assert tuple(got[0].to_gates()) == want[0]
         assert float(got[1]).hex() == float(want[1]).hex()
         calls.append(len(got[0]))
         return got

@@ -1,14 +1,25 @@
 """Tests for the gate/circuit intermediate representation."""
 
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
+import reference
 from reference import dagger
 
 from atomqc import circuit as cir
+from atomqc.barenco import lower_circuit
 from atomqc.exceptions import DuplicateQubit, NotUnitary, QubitOutOfRange
-from atomqc.linalg import haar_unitary
+from atomqc.formats import parse_qasm
+from atomqc.linalg import haar_unitary, random_unitary
+from atomqc.qrd import qrd_compile
+from atomqc.qsd import qsd_compile
 from atomqc.quaternion import zy_angles
+from atomqc.retarget import _entangling_rewrite, retarget_circuit
 from atomqc.simulate import gate_matrix
+
+CORPUS = pathlib.Path(__file__).parent / "qasm_corpus"
 
 
 def test_rotation_angles_canonicalized():
@@ -69,7 +80,9 @@ def test_single_qubit_predicate():
     assert not cir.cnot(0, 1).is_single_qubit
     assert not cir.toffoli(0, 1, 2).is_single_qubit
     with pytest.raises(ValueError, match="CNOT has no single-qubit matrix"):
-        cir.local_matrices((cir.cnot(0, 1),))
+        cir.gate_local_matrix(cir.cnot(0, 1))
+    with pytest.raises(ValueError, match="CNOT has no single-qubit matrix"):
+        cir.GateTable.from_gates((cir.cnot(0, 1),)).local_matrices(np.arange(1))
 
 
 def test_duplicate_qubits_rejected():
@@ -133,3 +146,90 @@ def test_block_index_shared_and_views():
     assert np.count_nonzero(m) == 6
     with pytest.raises(ValueError):
         cir.pair_views(np.zeros((3, 8)).T, (0, 2), (1, 0), 1)
+
+
+# ---------------------------------------------------------------------------
+# Columns, lazy gates and the run walker
+# ---------------------------------------------------------------------------
+
+
+def _walk_edge_cases():
+    return {
+        "empty": cir.Circuit(3),
+        "only_multi_qubit": cir.Circuit(3, (cir.cnot(0, 1), cir.cz(1, 2), cir.toffoli(0, 1, 2),
+                                            cir.ccz(0, 1, 2))),
+        "runs_open_at_end": cir.Circuit(3, (cir.h(0), cir.cz(0, 1), cir.rx(0.3, 1), cir.ry(0.4, 2),
+                                            cir.c_gate(1.0, 2.0, 0))),
+        "cnot_target_without_run": cir.Circuit(2, (cir.h(0), cir.cnot(0, 1), cir.rz(0.3, 1))),
+        "toffoli_then_ccz": cir.Circuit(3, (cir.rz(0.2, 2), cir.toffoli(0, 1, 2), cir.ccz(0, 1, 2),
+                                            cir.toffoli(0, 1, 2), cir.h(2), cir.ccz(0, 1, 2))),
+    }
+
+
+def _walk_inputs():
+    for n in range(1, 6):
+        for seed in range(5):
+            u = random_unitary(n, seed)
+            yield f"qrd n={n} seed={seed}", qrd_compile(u)
+            yield f"qsd n={n} seed={seed}", qsd_compile(u)
+    for path in sorted(CORPUS.glob("*.qasm")):
+        if not path.name.startswith("err_"):
+            yield path.name, parse_qasm(path.read_text())
+    yield from _walk_edge_cases().items()
+
+
+@pytest.mark.parametrize("rewrite", [False, True])
+def test_run_walker_matches_the_gate_loop(rewrite):
+    # Same slots and runs as the gate-by-gate loop, and us bit for bit.
+    for label, c in _walk_inputs():
+        on = _entangling_rewrite(c.table)[1] if rewrite else None
+        slots, runs, us = cir.collect_runs(c, on)
+        want_slots, want_runs, want_us = reference.collect_runs(c, on)
+        assert slots.tolist() == want_slots, label
+        assert runs.tolist() == [list(r) for r in want_runs], label
+        assert us.shape == want_us.shape and us.tobytes() == want_us.tobytes(), label
+
+
+def test_produced_circuits_build_equal_gates_once():
+    lowered = lower_circuit(qrd_compile(random_unitary(3, 0), lower=False))
+    native = retarget_circuit(lowered)
+    for c in (lowered, native):
+        gates = c.gates
+        assert c.gates is gates
+        assert c == cir.Circuit(c.n_qubits, tuple(c.gates), c.global_phase)
+        assert len(c) == len(gates) and c.table.kinds.tolist() == [
+            cir.KIND_CODES[g.kind] for g in gates]
+    first = native.gates[0]
+    bent = dataclasses.replace(first, params=(first.params[0] + 1.0, first.params[1]))
+    assert bent.kind == "C" and bent != first
+
+
+def test_matrices_and_polarities_survive_the_columns():
+    rng = np.random.default_rng(11)
+    u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
+    # Lowering keeps a U1 and a Toffoli as they are.
+    c = cir.Circuit(3, (cir.u1q(u1, 0), cir.toffoli(0, 1, 2), cir.rz(0.3, 1)))
+    lowered = lower_circuit(c)
+    assert lowered.gates == c.gates
+    assert np.array_equal(lowered.gates[0].matrix, u1) and lowered.gates[1].polarities == (1, 1)
+    gates = (cir.u1q(u1, 0), cir.mcu((0, 2), 1, u2, (0, 1)), cir.mcx((2, 1), 0, (1, 0)),
+             cir.diag_phase((1, 0, 2), (0, 1, 1), 0.9), cir.diag_phase((2,), (0,), -0.4),
+             cir.c_gate(0.5, 1.5, 2), cir.phase(0.2, 1), cir.h(0), cir.cz(0, 2), cir.mcx((), 1))
+    c = cir.Circuit(3, gates, 0.25)
+    back = cir.Circuit.from_table(3, c.table, 0.25)
+    assert back.gates == gates and back == c
+    with pytest.raises(ValueError):
+        c.table.qubits[0, 0] = 2
+    with pytest.raises(AttributeError):
+        c.n_qubits = 4
+
+
+def test_both_constructions_check_qubits_alike():
+    gates = (cir.h(1), cir.cnot(1, 4), cir.cnot(5, 0))
+    wide = cir.Circuit(6, gates).table
+    for build in (lambda: cir.Circuit(2, gates), lambda: cir.Circuit.from_table(2, wide)):
+        with pytest.raises(QubitOutOfRange) as info:
+            build()
+        assert str(info.value) == "qubit 4 outside width 2"
+    with pytest.raises(ValueError, match="at least one qubit"):
+        cir.Circuit.from_table(0, wide)

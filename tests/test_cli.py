@@ -369,7 +369,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, env, code, me
     "argv, env, code, stderr",
     [
         (["compile", "{tmp}/malformed.mat"], {}, EXIT_BAD_MATRIX,
-         "error: {tmp}/malformed.mat: row 0 has 1 entries, expected 2\n"),
+         "error: {tmp}/malformed.mat: row 0 has 1 entries, expected 2 (line 2)\n"),
         (["compile", "{tmp}/scaled.mat"], {}, EXIT_BAD_MATRIX,
          "error: {tmp}/scaled.mat: input matrix is not unitary to tolerance 1e-10\n"),
         (["compile", "{tmp}/eye3.mat"], {}, EXIT_BAD_MATRIX,

@@ -521,6 +521,18 @@ def test_matrix_format_errors(text):
         read_matrix(text)
 
 
+def test_matrix_diagnostics_name_the_file_line():
+    # A comment and a blank line above the bad row count as file lines.
+    text = "2\n# c\n\n1+0i 0+0i\n0+0i 1+0i 5\n"
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix(text)
+    assert str(info.value) == "row 1 has 3 entries, expected 2 (line 5)"
+    assert info.value.line == 5
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix("2\n\n# c\n1+0i 0+0i\n0+0i 1+0j\n")
+    assert str(info.value) == "bad entry '1+0j' at row 1, column 1 (line 5)"
+
+
 def test_matrix_unitarity_check():
     text = write_matrix(np.eye(2) * 1.5)
     with pytest.raises(NotUnitary):
@@ -546,7 +558,7 @@ _NOT_ASCII_NUMBERS = "arguments must be ASCII numbers without '_'"
          "bad dimension line '\u0661'"),
         (read_matrix, "0_1\n1+0i\n", MatrixFormatError, "bad dimension line '0_1'"),
         (read_matrix, "1\n\u0661+0i\n", MatrixFormatError,
-         "bad entry '\u0661+0i' at row 0, column 0"),
+         "bad entry '\u0661+0i' at row 0, column 0 (line 2)"),
         (parse_sequence, "SEQUENCE \u0661\nQUBITS 1\n", SequenceSyntaxError,
          f"SEQUENCE {_NOT_ASCII_NUMBERS} (line 1)"),
         (parse_sequence, "SEQUENCE 1\nQUBITS \u0661\n", SequenceSyntaxError,
@@ -625,9 +637,9 @@ def test_bare_carriage_return_does_not_end_a_line():
 # Texts that str.split() and str.strip() read as valid, since they also take
 # \x0b, \x1c-\x1f, \x85 and U+3000 as blanks: (parser, text, diagnostic).
 UNICODE_BLANKS = [
-    (read_matrix, "2\n1+0i 0+0i\n0+0i\x851+0i\n", "row 1 has 1 entries, expected 2"),
-    (read_matrix, "1\n\x1c1+0i\n", "bad entry '\\x1c1+0i' at row 0, column 0"),
-    (read_matrix, "2\n1+0i\x0b0+0i\n0+0i 1+0i\n", "row 0 has 1 entries, expected 2"),
+    (read_matrix, "2\n1+0i 0+0i\n0+0i\x851+0i\n", "row 1 has 1 entries, expected 2 (line 3)"),
+    (read_matrix, "1\n\x1c1+0i\n", "bad entry '\\x1c1+0i' at row 0, column 0 (line 2)"),
+    (read_matrix, "2\n1+0i\x0b0+0i\n0+0i 1+0i\n", "row 0 has 1 entries, expected 2 (line 2)"),
     (parse_sequence, "SEQUENCE 1\nQUBITS 2\nCZ\x1c0\x1d1\n",
      "unknown instruction 'CZ\\x1c0\\x1d1' (line 3)"),
     (parse_sequence, "SEQUENCE 1\nQUBITS 1\nC 0 0.5 0\u3000\n", f"C {_NOT_ASCII_NUMBERS} (line 3)"),

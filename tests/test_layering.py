@@ -88,9 +88,9 @@ def test_barenco_builds_and_checks_only_in_lower_circuit():
     # Each construction appends to the caller's item list, so one Circuit is
     # built and each block's unitarity is checked once, at lower_circuit,
     # and one zy_angles pass fills every slot.
-    calls = _callers(SRC / "barenco.py", ("Circuit", "check_unitary", "zy_angles"))
+    calls = _callers(SRC / "barenco.py", ("Circuit", "from_table", "check_unitary", "zy_angles"))
     assert calls == {
-        "Circuit": ["lower_circuit"],
+        "from_table": ["lower_circuit"],
         "check_unitary": ["lower_circuit"],
         "zy_angles": ["fill_rotations"],
     }
