@@ -395,6 +395,18 @@ def _padded(rows, width, dtype, fill=-1):
     return out
 
 
+def column_rows(columns, rows=None):
+    """Each of ``rows`` (every row by default) as a tuple of its Python values in ``columns``.
+
+    Converted 1,024 rows at a time, so a large table is never all Python
+    objects at once.
+    """
+    rows = np.arange(len(columns[0])) if rows is None else np.asarray(rows)
+    for start in range(0, len(rows), 1024):
+        chunk = rows[start:start + 1024]
+        yield from zip(*(column[chunk].tolist() for column in columns))
+
+
 @dataclass(frozen=True, eq=False)
 class GateTable:
     """The columns of a gate sequence, one row per gate in time order; read-only arrays.
@@ -443,18 +455,24 @@ class GateTable:
         """Each row's index into ``matrices``, valid on U1 and MCU rows."""
         return np.cumsum(_HAS_MATRIX[self.kinds]) - 1
 
-    def to_gates(self, rows=slice(None)):
-        """The ``Gate`` of each of ``rows`` (every row by default), in order."""
+    def to_gates(self, rows=None):
+        """The ``Gate`` of each of ``rows`` (every row by default), in order.
+
+        A gate with no angle or matrix is built once per distinct (kind,
+        qubits, polarities) and shared.
+        """
         columns = (self.kinds, self.widths, self.qubits, self.params, self.polarities,
                    self._matrix_of)
-        gates = []
-        for k, w, qubits, params, polarities, j in zip(*(col[rows].tolist() for col in columns)):
+        gates, shared = [], {}
+        for k, w, qubits, params, polarities, j in column_rows(columns, rows):
             kind = KINDS[k]
-            gates.append(Gate(
-                kind, tuple(qubits[:w]), tuple(params[:_N_PARAMS.get(kind, 0)]),
-                self.matrices[j] if kind in _MATRIX_KINDS else None,
-                tuple(p for p in polarities if p >= 0) if kind in _POLARITY_KINDS else None,
-            ))
+            fields = (kind, tuple(qubits[:w]), tuple(params[:_N_PARAMS.get(kind, 0)]),
+                      self.matrices[j] if kind in _MATRIX_KINDS else None,
+                      tuple(p for p in polarities if p >= 0) if kind in _POLARITY_KINDS else None)
+            if fields[2] or fields[3] is not None:
+                gates.append(Gate(*fields))
+            else:
+                gates.append(shared.get(fields) or shared.setdefault(fields, Gate(*fields)))
         return gates
 
     def local_matrices(self, rows):

@@ -338,7 +338,7 @@ def emit_sequence(c):
     lines = ["SEQUENCE 1", f"QUBITS {c.n_qubits}"]
     if abs(c.global_phase) > 0:
         lines.append(f"PHASE {_fmt(c.global_phase)}")
-    for kind, qubits, (theta, phi) in zip(t.kinds.tolist(), t.qubits.tolist(), t.params.tolist()):
+    for kind, qubits, (theta, phi) in cir.column_rows((t.kinds, t.qubits, t.params)):
         if kind == _C:
             lines.append(f"C {qubits[0]} {theta:.17g} {phi:.17g}")
         elif kind == _CZ:
