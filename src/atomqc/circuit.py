@@ -401,10 +401,9 @@ def column_rows(columns, rows=None):
     Converted 1,024 rows at a time, so a large table is never all Python
     objects at once.
     """
-    rows = np.arange(len(columns[0])) if rows is None else np.asarray(rows)
-    for start in range(0, len(rows), 1024):
-        chunk = rows[start:start + 1024]
-        yield from zip(*(column[chunk].tolist() for column in columns))
+    for start in range(0, len(columns[0]) if rows is None else len(rows), 1024):
+        at = slice(start, start + 1024) if rows is None else rows[start:start + 1024]
+        yield from zip(*(column[at].tolist() for column in columns))
 
 
 @dataclass(frozen=True, eq=False)

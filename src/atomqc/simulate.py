@@ -59,22 +59,23 @@ def apply_circuit(u, c):
     # qubit: fewer array passes than the general mix, equal up to rounding.
     run_views = [u.reshape(cir.block_index((), (), q)[0]) for q in range(n)]
     run_qubits = runs[:, 0].tolist()
+    # Each multi-qubit row's pair views and block, made once per distinct
+    # (kind, qubits, polarities), or per row for an MCU or DIAG_PHASE.
     rows = ~slots[slots < 0]
-    gate_rows = zip(rows.tolist(), t.kinds[rows].tolist(), map(tuple, t.qubits[rows].tolist()),
-                    map(tuple, t.polarities[rows].tolist()))
-    ops = {}  # (kind, qubits, polarities), or the row of an MCU/DIAG_PHASE -> (a, b, block)
+    kinds = t.kinds[rows].tolist()
+    keys = [row if kind in _OWN_BLOCK else (kind, *qubits, *polarities)
+            for row, kind, qubits, polarities
+            in cir.column_rows((rows, t.kinds[rows], t.qubits[rows], t.polarities[rows]))]
+    row_of = dict(zip(keys, rows.tolist()))
+    blocks = map(cir.controlled_block, t.to_gates(list(row_of.values())))
+    ops = {key: (*cir.pair_views(u, *where), block) for key, (*where, block) in zip(row_of, blocks)}
+    steps = zip(kinds, map(ops.__getitem__, keys))
     for s in slots.tolist():
         if s >= 0:
             v = run_views[run_qubits[s]]
             v[...] = us[s] @ v
             continue
-        row, kind, qubits, polarities = next(gate_rows)
-        key = row if kind in _OWN_BLOCK else (kind, qubits, polarities)
-        op = ops.get(key)
-        if op is None:
-            controls, polarities, target, block = cir.controlled_block(t.to_gates([row])[0])
-            op = ops[key] = (*cir.pair_views(u, controls, polarities, target), block)
-        a, b, block = op
+        kind, (a, b, block) = next(steps)
         if kind in _SIGN_FLIP:
             np.negative(b, out=b)
         elif kind in _SWAP:
