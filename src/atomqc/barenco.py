@@ -77,27 +77,25 @@ def fill_rotations(items):
     angle = np.concatenate([canon, [zero, zero]]).T[at]
     ends = np.array([(t, -1 if c is None else c, -1) for c, t, _ in slots],
                     dtype=np.int32).reshape(-1, 3)
-    # Candidate rows of every item, (item, 8) and (item, 8, width); the kept ones in order.
+    # Candidate rows of every item, (item, 8) and (item, 8, width), kind -1
+    # where not kept; the kept ones in order.
     width, fixed_width = max(fixed.qubits.shape[1], 2), fixed.qubits.shape[1]
-    is_fixed = ~is_slot
-    keeps = np.zeros((len(items), 8), dtype=bool)
-    kinds = np.zeros((len(items), 8), dtype=np.int8)
+    fixed_at, slot_at = (~is_slot).nonzero()[0], is_slot.nonzero()[0]
+    kinds = np.full((len(items), 8), -1, dtype=np.int8)
     params = np.zeros((len(items), 8, 2))
     qubits = np.full((len(items), 8, width), -1, dtype=np.int32)
     polarities = np.full((len(items), 8, width), -1, dtype=np.int8)
-    keeps[is_fixed, 0] = True
-    kinds[is_fixed, 0] = fixed.kinds
-    params[is_fixed, 0] = fixed.params
-    qubits[is_fixed, 0, :fixed_width] = fixed.qubits
-    polarities[is_fixed, 0, :fixed_width] = fixed.polarities
-    keeps[is_slot] = keep
-    kinds[is_slot] = _KIND[template]
-    params[is_slot, :, 0] = angle
-    qubits[is_slot, :, 0] = ends[slot, _FIRST[template]]
-    qubits[is_slot, :, 1] = ends[slot, _SECOND[template]]
-    keeps = keeps.ravel()
-    table = cir.GateTable(kinds.ravel()[keeps], qubits.reshape(-1, width)[keeps],
-                          params.reshape(-1, 2)[keeps], polarities.reshape(-1, width)[keeps],
+    kinds[fixed_at, 0] = fixed.kinds
+    params[fixed_at, 0] = fixed.params
+    qubits[fixed_at, 0, :fixed_width] = fixed.qubits
+    polarities[fixed_at, 0, :fixed_width] = fixed.polarities
+    kinds[slot_at] = np.where(keep, _KIND[template], -1)
+    params[slot_at, :, 0] = angle
+    qubits[slot_at, :, 0] = ends[slot, _FIRST[template]]
+    qubits[slot_at, :, 1] = ends[slot, _SECOND[template]]
+    keep = kinds.ravel() >= 0
+    table = cir.GateTable(kinds.ravel()[keep], qubits.reshape(-1, width)[keep],
+                          params.reshape(-1, 2)[keep], polarities.reshape(-1, width)[keep],
                           fixed.matrices)
     return table, phase
 

@@ -51,7 +51,7 @@ def canonical_angles(angles):
     return canon, np.pi * round((angles - canon) / (2 * np.pi))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     kind: str
     qubits: tuple
