@@ -7,8 +7,10 @@ Four digests, one line each:
 * ``phases``: every circuit's global phase as float hex;
 * ``sequence``: every emitted SEQUENCE text less its ``PHASE`` line, which
   ``phases`` already covers;
-* ``diagnostics``: what ``parse_qasm`` makes of 350,000 seeded texts: the
-  exception's type, message, line and column, or the gates of the circuit.
+* ``diagnostics``: what ``parse_qasm`` makes of 350,000 seeded texts, and
+  ``parse_sequence`` and ``read_matrix`` of 200,000 more: the exception's
+  type, message, line and column, or the gates and phase of the circuit, or
+  the matrix bytes.
 
 Inputs: Haar unitaries (``random_unitary``) on n = 1..5 qubits, seeds 0-9,
 through QRD (lowered, unlowered, and lowered without control dropping) and
@@ -21,7 +23,14 @@ back to QASM (the ``// global phase`` comment becomes the reparsed circuit's
 phase), and retargeted.  The ``diagnostics`` texts are 200,000 strings over
 the parser fuzz alphabet of ``tests/test_acceptance.py`` (seed 1234),
 100,000 corpus files with one character replaced, inserted or deleted, and
-50,000 ``rx(<expr>)`` statements over an angle-expression alphabet.
+50,000 ``rx(<expr>)`` statements over an angle-expression alphabet.  The
+SEQUENCE texts are 80,000 seeded token strings (a third each bare, after
+a ``SEQUENCE 1`` header, and after it and ``QUBITS 3``), 20,000 single
+``C``/``CZ``/``CCZ`` instructions on 3 qubits with qubits drawn from -1..4,
+and 40,000 emitted SEQUENCE texts (QRD and QSD, n = 1, 2, seeds 0-2, and
+QSD n = 3, seed 0, all retargeted) with one character replaced, inserted or
+deleted; the matrix texts are 60,000 ``write_matrix`` texts of
+Haar unitaries on 1..3 qubits, edited the same way.  Every text is ASCII.
 
 Run it on two checkouts and compare the lines:
 
@@ -38,8 +47,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from atomqc import circuit as cir
-from atomqc.exceptions import AtomqcError, QasmSyntaxError
-from atomqc.formats import emit_sequence, parse_qasm, render_qasm
+from atomqc.exceptions import AtomqcError, MatrixFormatError, QasmSyntaxError, SequenceSyntaxError
+from atomqc.formats import (emit_sequence, parse_qasm, parse_sequence, read_matrix, render_qasm,
+                            write_matrix)
 from atomqc.linalg import random_unitary
 from atomqc.qrd import qrd_compile
 from atomqc.qsd import qsd_compile
@@ -125,13 +135,66 @@ def parse_inputs():
         yield f"qreg q[1];\nrx({blob[start:end]}) q[0];\n"
 
 
-def _diagnostic(text):
-    """The gate bytes of ``parse_qasm(text)``, or its error's type, message, line and column."""
+def _edits(rng, texts, m):
+    """``m`` of ``texts`` with one ASCII character replaced, inserted or deleted."""
+    picks = rng.integers(len(texts), size=m).tolist()
+    where = rng.random(m).tolist()
+    edits = rng.integers(3, size=m).tolist()
+    chars = rng.choice(np.array(list("\n\t" + "".join(map(chr, range(32, 127))))), size=m)
+    for pick, at, edit, ch in zip(picks, where, edits, chars.tolist()):
+        base = texts[pick]
+        pos = int(at * len(base))
+        # 0 replaces the character at ``pos``, 1 inserts before it, 2 deletes it.
+        yield base[:pos] + ("" if edit == 2 else ch) + base[pos + (edit != 1):]
+
+
+def sequence_inputs():
+    """Yield the SEQUENCE ``diagnostics`` texts, in a fixed order."""
+    rng = np.random.default_rng(4321)
+    tokens = np.array(["SEQUENCE", "QUBITS", "PHASE", "C", "CZ", "CCZ", "CNOT", "0", "1", "2",
+                       "3", "-1", "0.5", "-2.5e-3", "1e309", "nan", "1_0", " ", " ", "\t", "\n",
+                       "\n", "\n", "\r\n", "#", "x"])
+    heads = ("", "SEQUENCE 1\n", "SEQUENCE 1\nQUBITS 3\n")
+    lengths = rng.integers(0, 24, size=80_000).tolist()
+    headed = rng.integers(len(heads), size=80_000).tolist()
+    for length, head in zip(lengths, headed):
+        yield heads[head] + "".join(rng.choice(tokens, size=length))
+    # Instructions whose qubits may repeat or leave the width, where the
+    # qubit checks speak.
+    qubits = rng.integers(-1, 5, size=(20_000, 3)).tolist()
+    picks = rng.integers(3, size=20_000).tolist()
+    for (a, b, c), pick in zip(qubits, picks):
+        yield "SEQUENCE 1\nQUBITS 3\n" + (f"C {a} 0.5 1", f"CZ {a} {b}", f"CCZ {a} {b} {c}")[pick]
+    # QRD's n = 3 texts (418 lines) would take most of the time.
+    cases = [(compile_, n, seed) for compile_ in (qrd_compile, qsd_compile)
+             for n in (1, 2) for seed in range(3)] + [(qsd_compile, 3, 0)]
+    texts = [emit_sequence(retarget_circuit(compile_(random_unitary(n, seed))))
+             for compile_, n, seed in cases]
+    yield from _edits(rng, texts, 40_000)
+
+
+def matrix_inputs():
+    """Yield the matrix ``diagnostics`` texts, in a fixed order."""
+    rng = np.random.default_rng(2143)
+    texts = [write_matrix(random_unitary(n, seed)) for n in (1, 2, 3) for seed in range(3)]
+    yield from _edits(rng, texts, 60_000)
+
+
+def _diagnostic(parse, text):
+    """What ``parse(text)`` gives as bytes, or its error's type, message, line and column."""
     try:
-        return _gate_bytes(parse_qasm(text))
+        out = parse(text)
     except AtomqcError as exc:
-        where = (exc.line, exc.col) if isinstance(exc, QasmSyntaxError) else ()
+        if isinstance(exc, QasmSyntaxError):
+            where = (exc.line, exc.col)
+        elif isinstance(exc, (SequenceSyntaxError, MatrixFormatError)):
+            where = (exc.line,)
+        else:
+            where = ()
         return f"{type(exc).__name__}|{exc}|{where}".encode()
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return _gate_bytes(out) + float(out.global_phase).hex().encode()
 
 
 def _gate_bytes(c):
@@ -152,8 +215,12 @@ def main():
         if text is not None:
             body = "".join(line for line in text.splitlines(True) if not line.startswith("PHASE "))
             digests["sequence"].update(label.encode() + body.encode())
-    for text in parse_inputs():
-        digests["diagnostics"].update(_diagnostic(text) + b"\0")
+    # An edited matrix entry may overflow to inf; read_matrix rejects it as not unitary.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parse, texts in ((parse_qasm, parse_inputs()), (parse_sequence, sequence_inputs()),
+                             (read_matrix, matrix_inputs())):
+            for text in texts:
+                digests["diagnostics"].update(_diagnostic(parse, text) + b"\0")
     for name, digest in digests.items():
         print(f"{name} {digest.hexdigest()}")
 
