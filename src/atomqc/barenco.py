@@ -38,7 +38,7 @@ _KIND, _ROW, _FIRST, _SECOND = (np.array([[c[i] for c in t] for t in (_ZYZ, _ABC
 
 
 def fill_rotations(items):
-    """The gate table of ``items`` with each slot filled in place, and their global phase.
+    """The columns of ``items`` with each slot filled in place, and their global phase.
 
     A slot ``(None, q, u)`` becomes RZ(delta) RY(gamma) RZ(beta) on ``q``;
     ``(control, target, u)`` becomes controlled-U by the ABC construction,
@@ -46,11 +46,12 @@ def fill_rotations(items):
     every slot, their ``TOL_ZERO`` skips, canonical values and wrap phases
     are arrays with one column per rotation; a rotation whose angle is zero
     to ``TOL_ZERO`` is left out.  Each item has eight candidate rows, a gate
-    its own first and a slot its template's; the kept ones are the table.
+    its own first and a slot its template's; the kept ones are the rows.
     """
     is_slot = np.array([isinstance(item, tuple) for item in items], dtype=bool)
     slots = [item for item in items if isinstance(item, tuple)]
-    fixed = cir.GateTable.from_gates([item for item in items if not isinstance(item, tuple)])
+    fixed_kinds, fixed_qubits, fixed_params, fixed_polarities, matrices = cir.gate_columns(
+        [item for item in items if not isinstance(item, tuple)])
     us = np.reshape([slot[2] for slot in slots], (-1, 2, 2))
     single = np.array([slot[0] is None for slot in slots], dtype=bool)
     alpha, beta, gamma, delta = zy_angles(us)
@@ -79,25 +80,23 @@ def fill_rotations(items):
                     dtype=np.int32).reshape(-1, 3)
     # Candidate rows of every item, (item, 8) and (item, 8, width), kind -1
     # where not kept; the kept ones in order.
-    width, fixed_width = max(fixed.qubits.shape[1], 2), fixed.qubits.shape[1]
+    width, fixed_width = max(fixed_qubits.shape[1], 2), fixed_qubits.shape[1]
     fixed_at, slot_at = (~is_slot).nonzero()[0], is_slot.nonzero()[0]
     kinds = np.full((len(items), 8), -1, dtype=np.int8)
     params = np.zeros((len(items), 8, 2))
     qubits = np.full((len(items), 8, width), -1, dtype=np.int32)
     polarities = np.full((len(items), 8, width), -1, dtype=np.int8)
-    kinds[fixed_at, 0] = fixed.kinds
-    params[fixed_at, 0] = fixed.params
-    qubits[fixed_at, 0, :fixed_width] = fixed.qubits
-    polarities[fixed_at, 0, :fixed_width] = fixed.polarities
+    kinds[fixed_at, 0] = fixed_kinds
+    params[fixed_at, 0] = fixed_params
+    qubits[fixed_at, 0, :fixed_width] = fixed_qubits
+    polarities[fixed_at, 0, :fixed_width] = fixed_polarities
     kinds[slot_at] = np.where(keep, _KIND[template], -1)
     params[slot_at, :, 0] = angle
     qubits[slot_at, :, 0] = ends[slot, _FIRST[template]]
     qubits[slot_at, :, 1] = ends[slot, _SECOND[template]]
     keep = kinds.ravel() >= 0
-    table = cir.GateTable(kinds.ravel()[keep], qubits.reshape(-1, width)[keep],
-                          params.reshape(-1, 2)[keep], polarities.reshape(-1, width)[keep],
-                          fixed.matrices)
-    return table, phase
+    return (kinds.ravel()[keep], qubits.reshape(-1, width)[keep], params.reshape(-1, 2)[keep],
+            polarities.reshape(-1, width)[keep], matrices), phase
 
 
 def _mcx_ladder(gates, controls, target, idle):
@@ -187,5 +186,5 @@ def lower_circuit(c):
             items.extend(flips)
         else:
             items.append(g)
-    table, slot_phase = fill_rotations(items)
-    return cir.Circuit.from_table(c.n_qubits, table, phase + slot_phase)
+    columns, slot_phase = fill_rotations(items)
+    return cir.Circuit.from_columns(c.n_qubits, *columns, global_phase=phase + slot_phase)

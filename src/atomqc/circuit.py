@@ -23,7 +23,7 @@ from .linalg import is_unitary, wrap_angle
 
 SINGLE_QUBIT_KINDS = frozenset({"RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1"})
 ENTANGLING_KINDS = frozenset({"CNOT", "CZ", "CCZ", "MCU", "MCX"})
-# A kind's code in a ``GateTable`` is its place here.
+# A kind's code in a ``Circuit``'s ``kinds`` column is its place here.
 KINDS = ("RX", "RY", "RZ", "H", "X", "C", "PHASE", "U1", "CNOT", "CZ", "CCZ", "MCU", "MCX",
          "DIAG_PHASE")
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
@@ -233,7 +233,7 @@ def _kind_matrices(kind, params):
 def gate_local_matrix(g):
     """The 2x2 matrix of a single-qubit kind; ``controlled_block`` covers every kind.
 
-    Bit for bit the matrix ``GateTable.local_matrices`` gives ``g``'s row.
+    Bit for bit the matrix ``Circuit.local_matrices`` gives ``g``'s row.
     """
     if g.kind == "U1":
         return np.array(g.matrix, dtype=complex)
@@ -344,14 +344,13 @@ def collect_runs(c, on=None):
     acts on other qubits.  ``us[r]`` is run r's product, later elements on
     the left.
     """
-    t = c.table
     # Each row's entries in time order: the Hadamard before it, its qubits,
     # the Hadamard after it.  A stable sort by qubit keeps that order, and
     # each run's elements (single-qubit rows and Hadamards) are consecutive.
-    grid = t.qubits if on is None else np.concatenate([on[:, None], t.qubits, on[:, None]], 1)
+    grid = c.qubits if on is None else np.concatenate([on[:, None], c.qubits, on[:, None]], 1)
     row, col = (grid >= 0).nonzero()
     qubit = grid[row, col]
-    element = (t.widths == 1)[row]
+    element = (c.widths == 1)[row]
     hadamard = np.zeros_like(element) if on is None else col % (grid.shape[1] - 1) == 0
     element |= hadamard
     order = qubit.argsort(kind="stable")
@@ -365,7 +364,7 @@ def collect_runs(c, on=None):
     h = hadamard[els]
     mats = np.empty((len(els), 2, 2), dtype=complex)
     mats[h] = HADAMARD
-    mats[~h] = t.local_matrices(row[els[~h]])
+    mats[~h] = c.local_matrices(row[els[~h]])
     us = _fold(mats, np.bincount(first[sorted_element].cumsum() - 1))[by_time]
     # Slots: a run at its first element, a multi-qubit row at its first qubit.
     gate_at = (~element & (col == (on is not None))).nonzero()[0]
@@ -398,7 +397,7 @@ def _padded(rows, width, dtype, fill=-1):
 def column_rows(columns, rows=None):
     """Each of ``rows`` (every row by default) as a tuple of its Python values in ``columns``.
 
-    Converted 1,024 rows at a time, so a large table is never all Python
+    Converted 1,024 rows at a time, so a large circuit is never all Python
     objects at once.
     """
     for start in range(0, len(columns[0]) if rows is None else len(rows), 1024):
@@ -406,43 +405,77 @@ def column_rows(columns, rows=None):
         yield from zip(*(column[at].tolist() for column in columns))
 
 
-@dataclass(frozen=True, eq=False)
-class GateTable:
-    """The columns of a gate sequence, one row per gate in time order; read-only arrays.
+def gate_columns(gates):
+    """The columns ``(kinds, qubits, params, polarities, matrices)`` of ``gates`` (see ``Circuit``)."""
+    qubits = [g.qubits for g in gates]
+    width = max(map(len, qubits), default=1)
+    return (
+        np.array([KIND_CODES[g.kind] for g in gates], dtype=np.int8),
+        _padded(qubits, width, np.int32),
+        _padded([g.params for g in gates], 2, float, 0.0),
+        _padded([g.polarities or () for g in gates], width, np.int8),
+        np.array([g.matrix for g in gates if g.kind in _MATRIX_KINDS],
+                 dtype=complex).reshape(-1, 2, 2),
+    )
 
-    ``kinds`` holds each gate's place in ``KINDS``.  ``qubits`` is ``(m, w)``,
-    controls first and target last, padded with -1; ``w`` is at least the
-    widest gate's qubit count.  ``params`` is ``(m, 2)``: the kind's angles, then 0.0.
-    ``polarities`` is ``(m, w)`` from column 0, padded with -1: an MCU's or
-    MCX's control polarities, a DIAG_PHASE's pattern.  ``matrices`` stacks
-    the 2x2s of the U1 and MCU rows, in row order.
+
+# Frozen with no fields: setting or deleting any attribute raises
+# ``FrozenInstanceError``, an ``AttributeError``.
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Circuit:
+    """``gates`` on ``n_qubits`` qubits in time order, then ``e^{i global_phase}``.
+
+    Immutable.  The gates are read-only columns, one row per gate in time
+    order.  ``kinds`` holds each gate's place in ``KINDS``.  ``qubits`` is
+    ``(m, w)``, controls first and target last, padded with -1; ``w`` is at
+    least the widest gate's qubit count.  ``params`` is ``(m, 2)``: the
+    kind's angles, then 0.0.  ``polarities`` is ``(m, w)`` from column 0,
+    padded with -1: an MCU's or MCX's control polarities, a DIAG_PHASE's
+    pattern.  ``matrices`` stacks the 2x2s of the U1 and MCU rows, in row
+    order.  ``Circuit(n, gates, phase)`` converts the gates once and keeps
+    their tuple as ``gates``; a stage that writes columns uses
+    ``from_columns``, and ``gates`` is built on first read, the same tuple
+    on every read.
     """
 
-    kinds: np.ndarray
-    qubits: np.ndarray
-    params: np.ndarray
-    polarities: np.ndarray
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        for column in (self.kinds, self.qubits, self.params, self.polarities, self.matrices):
-            column.flags.writeable = False
-
-    def __len__(self):
-        return len(self.kinds)
+    def __init__(self, n_qubits, gates=(), global_phase=0.0):
+        gates = tuple(gates)
+        self._freeze(n_qubits, global_phase, gate_columns(gates))
+        self.__dict__["gates"] = gates
+        # Gates share few qubit tuples; each distinct one, in gate order, is checked once.
+        for qubits in dict.fromkeys(map(attrgetter("qubits"), gates)):
+            check_qubits(qubits, n_qubits)
 
     @classmethod
-    def from_gates(cls, gates):
-        qubits = [g.qubits for g in gates]
-        width = max(map(len, qubits), default=1)
-        return cls(
-            np.array([KIND_CODES[g.kind] for g in gates], dtype=np.int8),
-            _padded(qubits, width, np.int32),
-            _padded([g.params for g in gates], 2, float, 0.0),
-            _padded([g.polarities or () for g in gates], width, np.int8),
-            np.array([g.matrix for g in gates if g.kind in _MATRIX_KINDS],
-                     dtype=complex).reshape(-1, 2, 2),
-        )
+    def from_columns(cls, n_qubits, kinds, qubits, params, polarities=None, matrices=None,
+                     global_phase=0.0):
+        """The circuit of these columns; raises ``QubitOutOfRange`` as ``Circuit`` does.
+
+        ``polarities`` defaults to all -1 (no row has any), ``matrices`` to
+        none (no U1 or MCU row).
+        """
+        if polarities is None:
+            polarities = np.full(qubits.shape, -1, dtype=np.int8)
+        if matrices is None:
+            matrices = np.empty((0, 2, 2), dtype=complex)
+        c = cls.__new__(cls)
+        c._freeze(n_qubits, global_phase, (kinds, qubits, params, polarities, matrices))
+        if qubits.max(initial=-1) >= n_qubits:
+            # The first one row by row, controls first, as ``Circuit`` finds it.
+            check_qubits((int(qubits[qubits >= n_qubits][0]),), n_qubits)
+        return c
+
+    def _freeze(self, n_qubits, global_phase, columns):
+        if n_qubits < 1:
+            raise ValueError("circuit needs at least one qubit")
+        for column in columns:
+            column.flags.writeable = False
+        self.__dict__.update(zip(("kinds", "qubits", "params", "polarities", "matrices"), columns),
+                             n_qubits=n_qubits, global_phase=global_phase)
+
+    @cached_property
+    def gates(self):
+        return tuple(self.to_gates())
 
     @cached_property
     def widths(self):
@@ -495,63 +528,8 @@ class GateTable:
                 out[idx] = _kind_matrices(kind, self.params[at, :_N_PARAMS.get(kind, 0)])
         return out
 
-
-class Circuit:
-    """``gates`` on ``n_qubits`` qubits in time order, then ``e^{i global_phase}``.
-
-    Immutable.  The gates have two forms, each built from the other on
-    first use: ``gates``, the tuple of ``Gate``s (the same tuple on every
-    read), and ``table``, their ``GateTable``.  ``Circuit(n, gates, phase)``
-    starts from the gates; a stage that writes columns starts from the
-    table (``from_table``), so no ``Gate`` is built until ``gates`` is read.
-    """
-
-    __slots__ = ("_n_qubits", "_global_phase", "_gates", "_table")
-
-    def __init__(self, n_qubits, gates=(), global_phase=0.0):
-        self._fill(n_qubits, global_phase, tuple(gates), None)
-        # Gates share few qubit tuples; each distinct one, in gate order, is checked once.
-        for qubits in dict.fromkeys(map(attrgetter("qubits"), self._gates)):
-            check_qubits(qubits, n_qubits)
-
-    @classmethod
-    def from_table(cls, n_qubits, table, global_phase=0.0):
-        """The circuit of ``table``'s rows; raises ``QubitOutOfRange`` as ``Circuit`` does."""
-        c = cls.__new__(cls)
-        c._fill(n_qubits, global_phase, None, table)
-        if table.qubits.max(initial=-1) >= n_qubits:
-            # The first one row by row, controls first, as ``Circuit`` finds it.
-            check_qubits((int(table.qubits[table.qubits >= n_qubits][0]),), n_qubits)
-        return c
-
-    def _fill(self, n_qubits, global_phase, gates, table):
-        if n_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
-        self._n_qubits, self._global_phase, self._gates, self._table = (
-            n_qubits, global_phase, gates, table)
-
-    @property
-    def n_qubits(self):
-        return self._n_qubits
-
-    @property
-    def global_phase(self):
-        return self._global_phase
-
-    @property
-    def gates(self):
-        if self._gates is None:
-            self._gates = tuple(self._table.to_gates())
-        return self._gates
-
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = GateTable.from_gates(self._gates)
-        return self._table
-
     def __len__(self):
-        return len(self._table if self._gates is None else self._gates)
+        return len(self.kinds)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -572,7 +550,7 @@ def check_qubits(qubits, n_qubits):
 
 
 def gate_counts(circuit):
-    per_kind = np.bincount(circuit.table.kinds, minlength=len(KINDS)).tolist()
+    per_kind = np.bincount(circuit.kinds, minlength=len(KINDS)).tolist()
     per_kind = {kind: count for kind, count in zip(KINDS, per_kind) if count}
     entangling = sum(v for k, v in per_kind.items() if k in ENTANGLING_KINDS)
     return GateCounts(per_kind, entangling)

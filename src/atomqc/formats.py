@@ -330,15 +330,14 @@ _NATIVE = np.isin(np.arange(len(cir.KINDS)), (_C, _CZ, _CCZ))
 
 def emit_sequence(c):
     """Serialize a native {C, CZ, CCZ} circuit as a SEQUENCE v1 file."""
-    t = c.table
-    bad = np.flatnonzero(~_NATIVE[t.kinds])
+    bad = np.flatnonzero(~_NATIVE[c.kinds])
     if bad.size:
-        raise UnsupportedGate(f"{cir.KINDS[t.kinds[bad[0]]]} is not a native pulse instruction; "
+        raise UnsupportedGate(f"{cir.KINDS[c.kinds[bad[0]]]} is not a native pulse instruction; "
                               "retarget the circuit first")
     lines = ["SEQUENCE 1", f"QUBITS {c.n_qubits}"]
     if abs(c.global_phase) > 0:
         lines.append(f"PHASE {_fmt(c.global_phase)}")
-    for kind, qubits, (theta, phi) in cir.column_rows((t.kinds, t.qubits, t.params)):
+    for kind, qubits, (theta, phi) in cir.column_rows((c.kinds, c.qubits, c.params)):
         if kind == _C:
             lines.append(f"C {qubits[0]} {theta:.17g} {phi:.17g}")
         elif kind == _CZ:

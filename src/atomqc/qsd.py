@@ -161,5 +161,5 @@ def qsd_compile(u, *, max_qubits=MAX_QUBITS):
         descend(v, lower)
 
     descend(u, tuple(range(n)))
-    table, phase = fill_rotations(items)
-    return cir.Circuit.from_table(n, table, phase + math.fsum(wraps))
+    columns, phase = fill_rotations(items)
+    return cir.Circuit.from_columns(n, *columns, global_phase=phase + math.fsum(wraps))

@@ -22,19 +22,19 @@ _CZ, _CCZ, _CNOT, _MCX = (cir.KIND_CODES[k] for k in ("CZ", "CCZ", "CNOT", "MCX"
 _C = cir.KIND_CODES["C"]
 
 
-def _entangling_rewrite(t):
-    """The native kind of each row of table ``t`` and the qubit its H-conjugation acts on, or -1.
+def _entangling_rewrite(c):
+    """The native kind of each row of circuit ``c`` and the qubit its H-conjugation acts on, or -1.
 
     CNOT -> H CZ H and Toffoli -> H CCZ H on the target; CZ, CCZ and
     single-qubit rows pass through.
     """
-    kinds = t.kinds.copy()
-    target = t.qubits[np.arange(len(t)), t.widths - 1]
+    kinds = c.kinds.copy()
+    target = c.qubits[np.arange(len(c)), c.widths - 1]
     cnot = kinds == _CNOT
-    toffoli = (kinds == _MCX) & (t.widths == 3) & np.all(t.polarities[:, :2] == 1, axis=1)
+    toffoli = (kinds == _MCX) & (c.widths == 3) & np.all(c.polarities[:, :2] == 1, axis=1)
     kinds[cnot], kinds[toffoli] = _CZ, _CCZ
     on = np.where(cnot | toffoli, target, -1)
-    bad = np.flatnonzero((t.widths > 1) & (kinds != _CZ) & (kinds != _CCZ))
+    bad = np.flatnonzero((c.widths > 1) & (kinds != _CZ) & (kinds != _CCZ))
     if bad.size:
         raise UnsupportedGate(f"cannot retarget {cir.KINDS[kinds[bad[0]]]} gate; lower it first")
     return kinds, on
@@ -49,14 +49,13 @@ def retarget_circuit(c, tol=TOL_RECON):
     where it began, so the gate order holds; one ``synthesize_runs`` call
     then turns every run into pulses, whose angles are canonicalized as
     arrays, and each slot's rows are written at its offset in the output
-    table.  A failing run raises ``NotUnitary``
+    columns.  A failing run raises ``NotUnitary``
     or ``SynthesisFailure`` naming its qubit and first input gate.
     Raises ``UnsupportedGate`` for any gate outside
     {single-qubit, CNOT, Toffoli, CZ, CCZ}; multi-controlled and matrix
     gates must be lowered first.
     """
-    t = c.table
-    kinds, on = _entangling_rewrite(t)
+    kinds, on = _entangling_rewrite(c)
     slots, runs, us = cir.collect_runs(c, on)
     try:
         counts, tp = synthesize_runs(us, tol)
@@ -72,16 +71,14 @@ def retarget_circuit(c, tol=TOL_RECON):
     size[is_run] = counts[run]
     at = size.cumsum() - size
     out_kinds = np.full(size.sum(), _C, dtype=np.int8)
-    qubits = np.full((len(out_kinds), t.qubits.shape[1]), -1, dtype=t.qubits.dtype)
+    qubits = np.full((len(out_kinds), c.qubits.shape[1]), -1, dtype=c.qubits.dtype)
     params = np.zeros((len(out_kinds), 2))
     out_kinds[at[is_row]] = kinds[rows]
-    qubits[at[is_row]] = t.qubits[rows]
+    qubits[at[is_row]] = c.qubits[rows]
     for k in (1, 2):
         fired = counts[run] >= k
         pulse_rows = at[is_run][fired] + (k - 1)
         qubits[pulse_rows, 0] = runs[run[fired], 0]
         params[pulse_rows] = pulses[2 * k - 2: 2 * k, run[fired]].T
-    table = cir.GateTable(out_kinds, qubits, params, np.full(qubits.shape, -1, dtype=np.int8),
-                          np.empty((0, 2, 2), dtype=complex))
-    return cir.Circuit.from_table(c.n_qubits, table,
-                                  wrap_angle(c.global_phase + math.fsum(tp.gamma)))
+    return cir.Circuit.from_columns(c.n_qubits, out_kinds, qubits, params,
+                                    global_phase=wrap_angle(c.global_phase + math.fsum(tp.gamma)))

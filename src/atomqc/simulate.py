@@ -54,7 +54,6 @@ def apply_circuit(u, c):
     if not u.flags.c_contiguous:
         raise ValueError("apply_circuit needs a C-contiguous array")
     slots, runs, us = cir.collect_runs(c)
-    t = c.table
     # One batched 2x2 matmul per run over the view (2^q, 2, rest) of its
     # qubit: fewer array passes than the general mix, equal up to rounding.
     run_views = [u.reshape(cir.block_index((), (), q)[0]) for q in range(n)]
@@ -62,12 +61,12 @@ def apply_circuit(u, c):
     # Each multi-qubit row's pair views and block, made once per distinct
     # (kind, qubits, polarities), or per row for an MCU or DIAG_PHASE.
     rows = ~slots[slots < 0]
-    kinds = t.kinds[rows].tolist()
+    kinds = c.kinds[rows].tolist()
     keys = [row if kind in _OWN_BLOCK else (kind, *qubits, *polarities)
             for row, kind, qubits, polarities
-            in cir.column_rows((rows, t.kinds[rows], t.qubits[rows], t.polarities[rows]))]
+            in cir.column_rows((rows, c.kinds[rows], c.qubits[rows], c.polarities[rows]))]
     row_of = dict(zip(keys, rows.tolist()))
-    blocks = map(cir.controlled_block, t.to_gates(list(row_of.values())))
+    blocks = map(cir.controlled_block, c.to_gates(list(row_of.values())))
     ops = {key: (*cir.pair_views(u, *where), block) for key, (*where, block) in zip(row_of, blocks)}
     steps = zip(kinds, map(ops.__getitem__, keys))
     for s in slots.tolist():

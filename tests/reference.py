@@ -125,5 +125,5 @@ def collect_runs(c, on=None):
     elements = np.array(elements, dtype=np.intp)
     mats = np.empty((len(elements), 2, 2), dtype=complex)
     mats[elements < 0] = HADAMARD
-    mats[elements >= 0] = c.table.local_matrices(elements[elements >= 0])
+    mats[elements >= 0] = c.local_matrices(elements[elements >= 0])
     return slots, runs, _fold_by_depth(mats, np.array(run_of, dtype=np.intp), len(runs))

@@ -82,7 +82,7 @@ def test_single_qubit_predicate():
     with pytest.raises(ValueError, match="CNOT has no single-qubit matrix"):
         cir.gate_local_matrix(cir.cnot(0, 1))
     with pytest.raises(ValueError, match="CNOT has no single-qubit matrix"):
-        cir.GateTable.from_gates((cir.cnot(0, 1),)).local_matrices(np.arange(1))
+        cir.Circuit(2, (cir.cnot(0, 1),)).local_matrices(np.arange(1))
 
 
 def test_duplicate_qubits_rejected():
@@ -182,7 +182,7 @@ def _walk_inputs():
 def test_run_walker_matches_the_gate_loop(rewrite):
     # Same slots and runs as the gate-by-gate loop, and us bit for bit.
     for label, c in _walk_inputs():
-        on = _entangling_rewrite(c.table)[1] if rewrite else None
+        on = _entangling_rewrite(c)[1] if rewrite else None
         slots, runs, us = cir.collect_runs(c, on)
         want_slots, want_runs, want_us = reference.collect_runs(c, on)
         assert slots.tolist() == want_slots, label
@@ -197,7 +197,7 @@ def test_produced_circuits_build_equal_gates_once():
         gates = c.gates
         assert c.gates is gates
         assert c == cir.Circuit(c.n_qubits, tuple(c.gates), c.global_phase)
-        assert len(c) == len(gates) and c.table.kinds.tolist() == [
+        assert len(c) == len(gates) and c.kinds.tolist() == [
             cir.KIND_CODES[g.kind] for g in gates]
     first = native.gates[0]
     bent = dataclasses.replace(first, params=(first.params[0] + 1.0, first.params[1]))
@@ -216,20 +216,52 @@ def test_matrices_and_polarities_survive_the_columns():
              cir.diag_phase((1, 0, 2), (0, 1, 1), 0.9), cir.diag_phase((2,), (0,), -0.4),
              cir.c_gate(0.5, 1.5, 2), cir.phase(0.2, 1), cir.h(0), cir.cz(0, 2), cir.mcx((), 1))
     c = cir.Circuit(3, gates, 0.25)
-    back = cir.Circuit.from_table(3, c.table, 0.25)
+    back = cir.Circuit.from_columns(3, c.kinds, c.qubits, c.params, c.polarities, c.matrices, 0.25)
     assert back.gates == gates and back == c
     with pytest.raises(ValueError):
-        c.table.qubits[0, 0] = 2
+        c.qubits[0, 0] = 2
     with pytest.raises(AttributeError):
         c.n_qubits = 4
 
 
 def test_both_constructions_check_qubits_alike():
     gates = (cir.h(1), cir.cnot(1, 4), cir.cnot(5, 0))
-    wide = cir.Circuit(6, gates).table
-    for build in (lambda: cir.Circuit(2, gates), lambda: cir.Circuit.from_table(2, wide)):
+    wide = cir.Circuit(6, gates)
+    columns = (wide.kinds, wide.qubits, wide.params, wide.polarities, wide.matrices)
+    for build in (lambda: cir.Circuit(2, gates), lambda: cir.Circuit.from_columns(2, *columns)):
         with pytest.raises(QubitOutOfRange) as info:
             build()
         assert str(info.value) == "qubit 4 outside width 2"
     with pytest.raises(ValueError, match="at least one qubit"):
-        cir.Circuit.from_table(0, wide)
+        cir.Circuit.from_columns(0, *columns)
+
+
+COLUMNS = ("kinds", "qubits", "params", "polarities", "matrices")
+
+
+def test_one_class_from_gates_or_columns():
+    rng = np.random.default_rng(12)
+    gates = (cir.u1q(haar_unitary(2, rng), 0), cir.mcu((0, 2), 1, haar_unitary(2, rng), (0, 1)),
+             cir.mcx((2, 1), 0, (1, 0)), cir.diag_phase((1, 0, 2), (0, 1, 1), 0.9),
+             cir.c_gate(0.5, 1.5, 2), cir.cz(0, 2), cir.mcx((), 1))
+    from_gates = cir.Circuit(3, gates, 0.5)
+    # The tuple given is the tuple kept.
+    assert from_gates.gates is gates
+    from_columns = cir.Circuit.from_columns(
+        3, *(getattr(from_gates, name).copy() for name in COLUMNS), global_phase=0.5)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(from_gates, name), getattr(from_columns, name)), name
+        assert not getattr(from_columns, name).flags.writeable, name
+    assert from_columns.gates == gates and from_columns == from_gates
+    # Columns with no polarities or matrices take the defaults.
+    native = cir.Circuit(3, (cir.c_gate(0.5, 1.5, 2), cir.ccz(0, 1, 2)))
+    bare = cir.Circuit.from_columns(3, native.kinds, native.qubits, native.params)
+    assert bare.polarities.tolist() == native.polarities.tolist() == [[-1] * 3] * 2
+    assert bare.matrices.shape == (0, 2, 2) and bare.matrices.dtype == complex
+    assert bare.gates == native.gates
+    for c in (from_gates, from_columns):
+        for name in (*COLUMNS, "n_qubits", "global_phase", "gates"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, getattr(c, name))
+            with pytest.raises(AttributeError):
+                delattr(c, name)

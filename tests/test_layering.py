@@ -4,7 +4,9 @@ The IR, the compilers and the stages below the simulator must not import the
 simulator or the CLI, the text formats must not import a compiler, no module
 calls ``np.moveaxis``, only ``circuit`` walks and folds single-qubit runs,
 Barenco lowering builds its one ``Circuit`` and checks unitarity only in
-``lower_circuit`` and takes ZY angles only in ``fill_rotations``, one
+``lower_circuit`` and takes ZY angles only in ``fill_rotations``, the
+stages that write columns build circuits only through
+``Circuit.from_columns``, one
 function computes the determinant (the phase split), only ``canonical_angles``
 and ``wrap_angle`` take an angle modulo 2pi, and no module may pull
 in ``scipy.optimize`` (slow to import, and the compiler has no use for a
@@ -88,12 +90,20 @@ def test_barenco_builds_and_checks_only_in_lower_circuit():
     # Each construction appends to the caller's item list, so one Circuit is
     # built and each block's unitarity is checked once, at lower_circuit,
     # and one zy_angles pass fills every slot.
-    calls = _callers(SRC / "barenco.py", ("Circuit", "from_table", "check_unitary", "zy_angles"))
+    calls = _callers(SRC / "barenco.py", ("Circuit", "from_columns", "check_unitary", "zy_angles"))
     assert calls == {
-        "from_table": ["lower_circuit"],
+        "from_columns": ["lower_circuit"],
         "check_unitary": ["lower_circuit"],
         "zy_angles": ["fill_rotations"],
     }
+
+
+def test_columns_enter_a_circuit_through_from_columns():
+    # Stages that write columns build their circuit through one constructor.
+    callers = {path.name: calls["from_columns"] for path in sorted(SRC.glob("*.py"))
+               if "from_columns" in (calls := _callers(path, ("from_columns",)))}
+    assert callers == {"barenco.py": ["lower_circuit"], "qsd.py": ["qsd_compile"],
+                       "retarget.py": ["retarget_circuit"]}
 
 
 def test_one_phase_split():
