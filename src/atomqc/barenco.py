@@ -156,6 +156,12 @@ def _mcu_recursive(items, controls, target, u, n_qubits):
     _mcu_recursive(items, rest, target, v, n_qubits)
 
 
+def _through_block(g):
+    """Whether ``lower_circuit`` lowers ``g`` as its ``controlled_block``: every MCU and MCX,
+    a zero-control MCX too, and every DIAG_PHASE but a one-qubit one."""
+    return g.kind in ("MCU", "MCX") or (g.kind == "DIAG_PHASE" and not g.is_single_qubit)
+
+
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
@@ -165,25 +171,24 @@ def lower_circuit(c):
     CCZ and Toffolis (``Gate.is_toffoli``); a one-qubit DIAG_PHASE becomes
     one PHASE.
     """
-    blocks = [cir.controlled_block(g) for g in c.gates
-              if g.kind in ("MCU", "MCX", "DIAG_PHASE") and not g.is_single_qubit]
+    blocks = [cir.controlled_block(g) for g in c.gates if _through_block(g)]
     check_unitary(np.reshape([b[3] for b in blocks], (-1, 2, 2)), what="multi-controlled 2x2 block")
     blocks = iter(blocks)
     items = []
     phase = c.global_phase
     for g in c.gates:
-        if g.kind == "DIAG_PHASE" and g.is_single_qubit:
-            # diag(e^{i gamma}, 1) = e^{i gamma} * diag(1, e^{-i gamma})
-            gamma, on_one = g.params[0], g.polarities[0]
-            items.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
-            phase += 0.0 if on_one else gamma
-        elif g.kind in ("MCU", "MCX", "DIAG_PHASE"):
+        if _through_block(g):
             controls, polarities, target, u = next(blocks)
             u = cir.PAULI_X if np.array_equal(u, cir.PAULI_X) else u
             flips = [cir.x(q) for q, p in zip(controls, polarities) if p == 0]
             items.extend(flips)
             _mcu_recursive(items, controls, target, u, c.n_qubits)
             items.extend(flips)
+        elif g.kind == "DIAG_PHASE":
+            # diag(e^{i gamma}, 1) = e^{i gamma} * diag(1, e^{-i gamma})
+            gamma, on_one = g.params[0], g.polarities[0]
+            items.append(cir.phase(gamma if on_one else -gamma, g.qubits[0]))
+            phase += 0.0 if on_one else gamma
         else:
             items.append(g)
     columns, slot_phase = fill_rotations(items)

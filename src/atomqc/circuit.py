@@ -237,7 +237,7 @@ def gate_local_matrix(g):
     """
     if g.kind == "U1":
         return np.array(g.matrix, dtype=complex)
-    if g.kind == "DIAG_PHASE" and g.is_single_qubit:
+    if g.kind in _POLARITY_KINDS and g.is_single_qubit:
         return controlled_block(g)[3]
     return _kind_matrices(g.kind, np.array([g.params], dtype=float))[0]
 
@@ -511,8 +511,8 @@ class Circuit:
         """The 2x2 of each of ``rows``, single-qubit rows, as one ``(len(rows), 2, 2)`` array.
 
         One array pass per kind: RX/RY/RZ/C/PHASE from their angle columns,
-        H and X as constants, U1 from ``matrices``, and a one-qubit
-        DIAG_PHASE as its ``controlled_block``.
+        H and X as constants, U1 from ``matrices``, and a one-qubit MCU,
+        MCX or DIAG_PHASE as its ``controlled_block``.
         """
         kinds = self.kinds[rows]
         out = np.empty((len(rows), 2, 2), dtype=complex)
@@ -522,7 +522,7 @@ class Circuit:
             kind = KINDS[k]
             if kind == "U1":
                 out[idx] = self.matrices[self._matrix_of[at]]
-            elif kind == "DIAG_PHASE":
+            elif kind in _POLARITY_KINDS:
                 out[idx] = [controlled_block(g)[3] for g in self.to_gates(at)]
             else:
                 out[idx] = _kind_matrices(kind, self.params[at, :_N_PARAMS.get(kind, 0)])

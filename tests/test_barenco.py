@@ -17,7 +17,7 @@ from atomqc.qrd import qrd_compile
 from atomqc.qsd import qsd_compile
 from atomqc.quaternion import zy_angles
 from atomqc.retarget import retarget_circuit
-from atomqc.simulate import circuit_unitary, gate_matrix
+from atomqc.simulate import circuit_unitary, gate_matrix, verify
 
 RNG = np.random.default_rng(4321)
 
@@ -267,3 +267,20 @@ def test_fill_rotations_matches_per_rotation_reference(monkeypatch):
         qrd_compile(u)
         qsd_compile(u)
     assert len(calls) == 2 * len(inputs) and sum(calls) > 1000
+
+
+def test_zero_control_mcx_is_x():
+    # An MCX with no controls is X on its target: simulated as X, lowered
+    # through its controlled block like any other MCX.
+    gates = (cir.h(0), cir.mcx((), 1), cir.cnot(1, 2), cir.mcx((), 2), cir.mcx((1,), 0, (0,)))
+    c = cir.Circuit(3, gates, 0.3)
+    want = np.exp(0.3j) * np.eye(8, dtype=complex)
+    for g in gates:
+        want = gate_matrix(g, 3) @ want
+    assert np.array_equal(cir.gate_local_matrix(cir.mcx((), 1)), cir.PAULI_X)
+    assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-14
+    lowered = lower_circuit(c)
+    assert {g.kind for g in lowered.gates} <= {"H", "RZ", "RY", "X", "CNOT"}
+    assert np.max(np.abs(circuit_unitary(lowered) - want)) < 1e-12
+    report = verify(retarget_circuit(lowered), want)
+    assert report.passed and report.distance < 1e-12
