@@ -25,8 +25,11 @@ _OWN_BLOCK = {cir.KIND_CODES["MCU"], cir.KIND_CODES["DIAG_PHASE"]}
 def apply_gate(u, g, n_qubits):
     """Left-multiply ``u`` (shape ``(2^n, m)``) by the full embedding of ``g``, in place.
 
-    The unfused reference: one general 2x2 mix per gate.
+    The unfused reference: one general 2x2 mix per gate.  ``u`` must be
+    complex128, so that no write drops an imaginary part.
     """
+    if u.dtype != np.complex128:
+        raise ValueError("apply_gate needs a complex128 array")
     cir.check_qubits(g.qubits, n_qubits)
     controls, polarities, target, block = cir.controlled_block(g)
     a, b = cir.pair_views(u, controls, polarities, target)
@@ -46,13 +49,16 @@ def apply_circuit(u, c):
     ``cir.collect_runs`` gives it.  CZ and CCZ flip the sign of the rows
     they select, an X block swaps its row pairs, and every other gate mixes
     them.  ``e^{i global_phase}`` is applied last.  ``u`` must be
-    C-contiguous, so that every reshape is a view.
+    C-contiguous, so that every reshape is a view, and complex128, so that
+    no write drops an imaginary part.
     """
     n = c.n_qubits
     if u.shape[0] != 2**n:
         raise DimMismatch(f"{u.shape[0]} rows for a {n}-qubit circuit")
     if not u.flags.c_contiguous:
         raise ValueError("apply_circuit needs a C-contiguous array")
+    if u.dtype != np.complex128:
+        raise ValueError("apply_circuit needs a complex128 array")
     slots, runs, us = cir.collect_runs(c)
     # One batched 2x2 matmul per run over the view (2^q, 2, rest) of its
     # qubit: fewer array passes than the general mix, equal up to rounding.

@@ -333,3 +333,14 @@ def test_apply_circuit_rejects_a_strided_or_misshapen_input():
         apply_circuit(np.zeros((3, 4), dtype=complex).T, c)
     with pytest.raises(DimMismatch):
         apply_circuit(np.zeros((8, 1), dtype=complex), c)
+
+
+@pytest.mark.parametrize("dtype", [float, np.complex64, np.int64])
+def test_simulator_rejects_an_input_that_is_not_complex128(dtype):
+    # A real or narrower array would drop imaginary parts or round, in place.
+    c = cir.Circuit(2, (cir.rz(0.5, 0), cir.cnot(0, 1)), global_phase=0.3)
+    for apply in (lambda u: apply_circuit(u, c), lambda u: apply_gate(u, cir.rz(0.5, 0), 2)):
+        u = np.eye(4, dtype=dtype)
+        with pytest.raises(ValueError, match="complex128"):
+            apply(u)
+        assert np.array_equal(u, np.eye(4)) and u.dtype == dtype
