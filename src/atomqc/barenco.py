@@ -157,8 +157,11 @@ def _mcu_recursive(items, controls, target, u, n_qubits):
 
 
 def _through_block(g):
-    """Whether ``lower_circuit`` lowers ``g`` as its ``controlled_block``: every MCU and MCX,
-    a zero-control MCX too, and every DIAG_PHASE but a one-qubit one."""
+    """Whether ``lower_circuit`` lowers ``g`` as its ``controlled_block``.
+
+    True for every MCU and MCX, a zero-control MCX too, and for a
+    DIAG_PHASE on two or more qubits.
+    """
     return g.kind in ("MCU", "MCX") or (g.kind == "DIAG_PHASE" and not g.is_single_qubit)
 
 
