@@ -253,6 +253,12 @@ def test_one_class_from_gates_or_columns():
         assert np.array_equal(getattr(from_gates, name), getattr(from_columns, name)), name
         assert not getattr(from_columns, name).flags.writeable, name
     assert from_columns.gates == gates and from_columns == from_gates
+    # The column writers give the columns their gates convert to.
+    lowered = qrd_compile(random_unitary(3, 0))
+    for c in (lowered, retarget_circuit(lowered)):
+        again = cir.Circuit(c.n_qubits, c.gates, c.global_phase)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(c, name), getattr(again, name)), name
     # Columns with no polarities or matrices take the defaults.
     native = cir.Circuit(3, (cir.c_gate(0.5, 1.5, 2), cir.ccz(0, 1, 2)))
     bare = cir.Circuit.from_columns(3, native.kinds, native.qubits, native.params)
