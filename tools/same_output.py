@@ -37,11 +37,19 @@ Run it on two checkouts and compare the lines:
     python tools/same_output.py
 """
 
-import hashlib
-import pathlib
-import sys
+import os
 
-import numpy as np
+# One BLAS/OpenMP thread, set before numpy is imported, as perfbench/run.py
+# does: a BLAS sum split over threads can round differently, so the
+# digests would depend on the core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
