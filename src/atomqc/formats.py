@@ -476,5 +476,8 @@ def read_matrix(text):
             if em is None:
                 raise MatrixFormatError(f"bad entry {token!r} at row {i}, column {j}", lineno)
             m[i, j] = complex(float(em.group("re")), float(em.group("im")))
+            if not np.isfinite(m[i, j]):  # an overflowing entry such as 1e999 reads as inf
+                raise MatrixFormatError(f"entry {token!r} at row {i}, column {j} is not finite",
+                                        lineno)
     check_unitary(m, what="input matrix")
     return m

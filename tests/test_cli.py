@@ -6,6 +6,7 @@ file IO paths.
 """
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,18 @@ def test_error_lines_pinned(tmp_path, capsys, monkeypatch, argv, env, code, stde
     argv = [arg.format(tmp=tmp_path, corpus=CORPUS) for arg in argv]
     assert main(argv) == code
     assert capsys.readouterr().err == stderr.format(tmp=tmp_path, corpus=CORPUS)
+
+
+def test_non_finite_matrix_entry_exit_code(tmp_path, capsys):
+    # Rejected with its file line before the unitarity check, so no numpy
+    # warning reaches stderr either.
+    path = tmp_path / "inf.mat"
+    path.write_text("2\n1e999+0i 0+0i\n0+0i 1+0i\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compile", str(path)]) == EXIT_BAD_MATRIX
+    assert capsys.readouterr().err == (
+        f"error: {path}: entry '1e999+0i' at row 0, column 0 is not finite (line 2)\n")
 
 
 def test_empty_out_writes_stdout(tmp_path, capsys):

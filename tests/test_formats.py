@@ -1,6 +1,7 @@
 """Tests for the text formats: OpenQASM subset, SEQUENCE files, matrices."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -537,6 +538,19 @@ def test_matrix_unitarity_check():
     text = write_matrix(np.eye(2) * 1.5)
     with pytest.raises(NotUnitary):
         read_matrix(text)
+
+
+@pytest.mark.parametrize("entry", ["1e999+0i", "0-1e999i", "-1e999+1e999i"])
+def test_matrix_non_finite_entry_names_its_line(entry):
+    # An entry that overflows a float is named with its file line; it never
+    # reaches the unitarity check, whose matmul would warn about inf.
+    text = f"2\n# c\n1+0i 0+0i\n0+0i {entry}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError) as info:
+            read_matrix(text)
+    assert str(info.value) == f"entry {entry!r} at row 1, column 1 is not finite (line 4)"
+    assert info.value.line == 4
 
 
 

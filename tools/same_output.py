@@ -223,7 +223,8 @@ def main():
         if text is not None:
             body = "".join(line for line in text.splitlines(True) if not line.startswith("PHASE "))
             digests["sequence"].update(label.encode() + body.encode())
-    # An edited matrix entry may overflow to inf; read_matrix rejects it as not unitary.
+    # A huge but finite matrix entry overflows in the unitarity check's matmul,
+    # which then rejects the matrix as not unitary.
     with np.errstate(over="ignore", invalid="ignore"):
         for parse, texts in ((parse_qasm, parse_inputs()), (parse_sequence, sequence_inputs()),
                              (read_matrix, matrix_inputs())):
