@@ -8,19 +8,34 @@ construction appends gates, or slots ``(control or None, target, u)`` for a
 ``zy_angles`` pass and sums the global phase once.
 """
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgees
 
 from . import circuit as cir
 from .linalg import TOL_ZERO, check_unitary
 from .quaternion import zy_angles
 
 
+@functools.lru_cache(maxsize=None)
+def _schur_lwork(n):
+    """``zgees``' lwork for n x n, asked once: the query reads only n, so it is scipy's."""
+    return int(zgees(lambda x: None, np.eye(n), lwork=-1)[-2][0].real)
+
+
+def complex_schur(a):
+    """``scipy.linalg.schur(a, output="complex")`` bit for bit, on a copy and without NaN checks."""
+    t, _, _, z, _, info = zgees(lambda x: None, a, lwork=_schur_lwork(len(a)))
+    if info:
+        raise np.linalg.LinAlgError(f"zgees failed with info {info}")
+    return t, z
+
+
 def _unitary_sqrt(u):
     """Principal square root of a 2x2 unitary (eigenphases halved into (-pi/2, pi/2])."""
-    t, z = scipy.linalg.schur(u, output="complex")
+    t, z = complex_schur(u)
     roots = np.exp(1j * np.angle(np.diagonal(t)) / 2.0)
     return (z * roots) @ z.conj().T
 

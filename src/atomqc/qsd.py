@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zuncsd, zuncsd_lwork
 
 from . import circuit as cir
-from .barenco import fill_rotations
+from .barenco import complex_schur, fill_rotations
 from .exceptions import LengthNotPowerOfTwo
 from .linalg import MAX_QUBITS, TOL_ZERO, check_unitary, qubit_count
 
@@ -88,6 +89,13 @@ def synth_multiplexed_rotation(axis, controls, target, thetas):
     return tuple(gates), math.fsum(wraps)
 
 
+@functools.lru_cache(maxsize=None)
+def _csd_lwork(m):
+    """``zuncsd``' ``lwork`` and ``lrwork`` for equal halves of m x m, asked once per m."""
+    work, rwork, _ = zuncsd_lwork(m, m // 2, m // 2)
+    return {"lwork": int(work.real), "lrwork": int(rwork)}
+
+
 def _cs_decompose(u):
     """Cosine-sine decomposition with equal block sizes: ``(a1, b1, a2, b2, thetas)``.
 
@@ -96,8 +104,11 @@ def _cs_decompose(u):
     checks its input, and every block it passes on is unitary by construction.
     """
     half = u.shape[0] // 2
-    (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
-    return u1, u2, v1h, v2h, np.asarray(theta, dtype=float)
+    *_, theta, u1, u2, v1h, v2h, info = zuncsd(u[:half, :half], u[:half, half:], u[half:, :half],
+                                               u[half:, half:], **_csd_lwork(len(u)))
+    if info:
+        raise np.linalg.LinAlgError(f"zuncsd failed with info {info}")
+    return u1, u2, v1h, v2h, theta
 
 
 def _demultiplex(a, b):
@@ -108,7 +119,7 @@ def _demultiplex(a, b):
     a unitary eigenbasis even for degenerate eigenvalues, and ``D`` takes the
     principal square root of the eigenvalues.  Unchecked, as ``_cs_decompose``.
     """
-    t, v = scipy.linalg.schur(a @ b.conj().T, output="complex")
+    t, v = complex_schur(a @ b.conj().T)
     # Principal branch: eigenphases of D^2 in (-pi, pi], halved.
     phases = np.angle(np.diagonal(t)) / 2.0
     d = np.exp(1j * phases)
