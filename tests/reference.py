@@ -3,8 +3,9 @@
 ``dagger`` inverts a gate, ``quaternion_to_unitary`` inverts
 ``quaternion_from_unitary``, ``csd_product`` and ``demux_d`` multiply QSD's
 factors back together, ``synthesize_run`` is the one-run case of
-``synthesize_runs``, and ``collect_runs`` walks a circuit's runs gate by
-gate, as ``circuit.collect_runs`` does with arrays.
+``synthesize_runs``, ``collect_runs`` walks a circuit's runs gate by
+gate, as ``circuit.collect_runs`` does with arrays, and ``factor_inputs``
+gives the unitaries the Schur and CS factorizations are checked on.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from atomqc.circuit import HADAMARD, canonical_angles
-from atomqc.linalg import wrap_angle
+from atomqc.linalg import haar_unitary, wrap_angle
 from atomqc.quaternion import TOL_RECON, synthesize_runs
 
 # Kinds whose first angle parameter lives in [0, 2pi); PHASE/DIAG_PHASE use (-pi, pi].
@@ -127,3 +128,22 @@ def collect_runs(c, on=None):
     mats[elements < 0] = HADAMARD
     mats[elements >= 0] = c.local_matrices(elements[elements >= 0])
     return slots, runs, _fold_by_depth(mats, np.array(run_of, dtype=np.intp), len(runs))
+
+
+def factor_inputs(dim, rng):
+    """Unitaries of dimension ``dim`` for the Schur and CS factorizations, the last read-only.
+
+    Haar, +-I, a permutation, diag(-1, i, -1, i, ...), a Kronecker product
+    for even ``dim``, eigenphases clustered 1e-12 apart at 1 and at -1, and
+    a read-only Haar matrix.
+    """
+    haar = haar_unitary(dim, rng)
+    near = np.pi * (np.arange(dim) % 2) + 1e-12 * np.arange(dim)
+    inputs = [haar, np.eye(dim, dtype=complex), -np.eye(dim, dtype=complex),
+              np.eye(dim, dtype=complex)[rng.permutation(dim)],
+              np.diag(np.resize([-1, 1j], dim)), (haar * np.exp(1j * near)) @ haar.conj().T]
+    if dim % 2 == 0:
+        inputs.append(np.kron(haar_unitary(2, rng), haar_unitary(dim // 2, rng)))
+    frozen = haar_unitary(dim, rng)
+    frozen.flags.writeable = False
+    return inputs + [frozen]

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from reference import factor_inputs
+from scipy.linalg.lapack import zgees
 from test_compiler_inputs import DEGENERATE
 
 from atomqc import barenco, qsd
 from atomqc import circuit as cir
-from atomqc.barenco import _unitary_sqrt, fill_rotations, lower_circuit
+from atomqc.barenco import _schur_lwork, _unitary_sqrt, complex_schur, fill_rotations, lower_circuit
+from atomqc.exceptions import NotUnitary
 from atomqc.formats import render_qasm
 from atomqc.linalg import TOL_ZERO, haar_unitary, is_unitary, phase_distance, random_unitary
 from atomqc.qrd import qrd_compile
@@ -206,6 +209,61 @@ def test_unitary_sqrt():
 def test_unitary_sqrt_of_minus_identity():
     v = _unitary_sqrt(-np.eye(2))
     assert np.max(np.abs(v @ v + np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 33))
+def test_complex_schur_is_scipys_schur(dim):
+    for a in factor_inputs(dim, np.random.default_rng(dim)):
+        before = a.copy()
+        t, z = complex_schur(a)
+        want_t, want_z = scipy.linalg.schur(a, output="complex")
+        assert np.array_equal(t, want_t) and np.array_equal(z, want_z)
+        assert np.array_equal(a, before)
+
+
+def test_complex_schur_nonzero_info_raises(monkeypatch):
+    def failing(*args, **kwargs):
+        return (*zgees(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(barenco, "zgees", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="zgees failed with info 1"):
+        complex_schur(np.eye(2, dtype=complex))
+
+
+def test_schur_workspace_reads_only_the_size():
+    # The cached query on the identity is the one scipy makes on each input.
+    rng = np.random.default_rng(64)
+    for n in range(2, 65):
+        query = zgees(lambda x: None, haar_unitary(n, rng), lwork=-1)
+        assert _schur_lwork(n) == int(query[-2][0].real), n
+
+
+def test_workspace_queried_once_per_size(monkeypatch):
+    queries = []
+
+    def counted(select, a, lwork, **kwargs):
+        if lwork == -1:
+            queries.append(len(a))
+        return zgees(select, a, lwork=lwork, **kwargs)
+
+    monkeypatch.setattr(barenco, "zgees", counted)
+    _schur_lwork.cache_clear()
+    for seed in range(2):
+        qsd_compile(random_unitary(4, seed))
+        lower_circuit(qrd_compile(random_unitary(4, seed), lower=False))
+    _schur_lwork.cache_clear()
+    assert sorted(queries) == [2, 4, 8]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_block_is_not_unitary(bad):
+    # complex_schur does not check for NaN or inf; lower_circuit's entry
+    # check stops them first.
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    c = cir.Circuit(2, (cir.Gate("MCU", (0, 1), matrix=m, polarities=(1,)),))
+    with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+        lower_circuit(c)
 
 
 def _reference_fill_rotations(items):

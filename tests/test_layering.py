@@ -14,7 +14,8 @@ numeric solver).  No module reaches for another module's ``_``-prefixed
 names.  Every function reads each of its parameters.  No module or test
 imports a name it never uses; the package ``__init__`` only re-exports, so
 it is exempt.  Every small float threshold is a named module constant, and
-no two constants share a value.
+no two constants share a value.  No module calls ``scipy.linalg.schur`` or
+``cossin``, which ask LAPACK for the workspace again on every call.
 """
 
 import ast
@@ -167,6 +168,20 @@ def test_qsd_imports_no_other_compiler():
     # QSD takes its Gray codes from its own ladder code, not from QRD.
     imported = _imports(SRC / "qsd.py")
     assert not {name for name in imported if name.startswith("atomqc.qrd")}
+
+
+def test_no_module_calls_scipy_schur_or_cossin():
+    # The scipy wrappers ask LAPACK for the workspace on every call; the
+    # compilers call zgees and zuncsd directly with each size's cached lwork.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("schur", "cossin"))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+            and {alias.name for alias in node.names} & {"schur", "cossin"})
+    ]
+    assert not found
 
 
 def test_linalg_imports_no_scipy():

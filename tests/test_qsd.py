@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from reference import factor_inputs
+from scipy.linalg.lapack import zuncsd, zuncsd_lwork
 
 from atomqc import circuit as cir
+from atomqc import qsd
 from atomqc.circuit import rotation_matrix
 from atomqc import linalg
 from atomqc.exceptions import LengthNotPowerOfTwo, NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import haar_unitary, phase_distance, random_unitary
 from atomqc.qsd import (
+    _cs_decompose,
+    _csd_lwork,
     _gray_walsh_matrix,
     multiplexer_angles,
     qsd_compile,
@@ -153,3 +158,49 @@ def test_input_checked_once(n, monkeypatch):
     monkeypatch.setattr(linalg, "unitarity_defect", spy)
     qsd_compile(random_unitary(n, seed=n))
     assert calls == [(2**n, 2**n)]
+
+
+@pytest.mark.parametrize("dim", range(2, 33, 2))
+def test_cs_decompose_is_scipys_cossin(dim):
+    half = dim // 2
+    for u in factor_inputs(dim, np.random.default_rng(dim)):
+        before = u.copy()
+        a1, b1, a2, b2, thetas = _cs_decompose(u)
+        (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(u, p=half, q=half, separate=True)
+        for got, want in zip((a1, b1, a2, b2, thetas), (u1, u2, v1h, v2h, theta)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(u, before)
+
+
+def test_cs_decompose_nonzero_info_raises(monkeypatch):
+    def failing(*args, **kwargs):
+        return (*zuncsd(*args, **kwargs)[:-1], 2)
+
+    monkeypatch.setattr(qsd, "zuncsd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="zuncsd failed with info 2"):
+        _cs_decompose(np.eye(4, dtype=complex))
+
+
+def test_csd_workspace_queried_once_per_size(monkeypatch):
+    queries = []
+
+    def counted(m, p, q):
+        queries.append((m, p, q))
+        return zuncsd_lwork(m, p, q)
+
+    monkeypatch.setattr(qsd, "zuncsd_lwork", counted)
+    _csd_lwork.cache_clear()
+    for seed in range(2):
+        qsd_compile(random_unitary(4, seed))
+    _csd_lwork.cache_clear()
+    assert sorted(queries) == [(4, 2, 2), (8, 4, 4), (16, 8, 8)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_not_unitary(bad):
+    # The LAPACK drivers are called without a finiteness check; the entry
+    # check stops NaN and inf first.
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+        qsd_compile(u)
