@@ -35,10 +35,15 @@ MAX_QUBITS = 12
 
 
 def unitarity_defect(m):
-    """max |M^dagger M - I| of a square matrix, or of each matrix in a stack."""
+    """max |M^dagger M - I| of a square matrix, or of each matrix in a stack.
+
+    A huge or non-finite entry gives an inf or NaN defect, silently: either
+    fails every ``<= tol`` test, so the matrix counts as not unitary.
+    """
     m = np.asarray(m)
     eye = np.eye(m.shape[-1])
-    return np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), axis=(-2, -1))
 
 
 def is_unitary(m, tol=TOL_UNITARY):

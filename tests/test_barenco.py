@@ -256,13 +256,14 @@ def test_workspace_queried_once_per_size(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_block_is_not_unitary(bad):
     # complex_schur does not check for NaN or inf; lower_circuit's entry
     # check stops them first.
     m = np.eye(2, dtype=complex)
     m[0, 1] = bad
     c = cir.Circuit(2, (cir.Gate("MCU", (0, 1), matrix=m, polarities=(1,)),))
-    with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+    with pytest.raises(NotUnitary):
         lower_circuit(c)
 
 

@@ -450,6 +450,18 @@ def test_non_finite_matrix_entry_exit_code(tmp_path, capsys):
         f"error: {path}: entry '1e999+0i' at row 0, column 0 is not finite (line 2)\n")
 
 
+def test_overflowing_matrix_entry_exit_code(tmp_path, capsys):
+    # 1e200 is finite, but U^dagger U overflows in the unitarity check: the
+    # inf or NaN defect fails it, with one error line and no numpy warning.
+    path = tmp_path / "huge.mat"
+    path.write_text("2\n1e200+0i 0+0i\n0+0i 1+0i\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compile", str(path)]) == EXIT_BAD_MATRIX
+    assert capsys.readouterr().err == (
+        f"error: {path}: input matrix is not unitary to tolerance 1e-10\n")
+
+
 def test_empty_out_writes_stdout(tmp_path, capsys):
     assert main(["retarget", str(CORPUS / "bell.qasm"), "--out", ""]) == EXIT_OK
     assert capsys.readouterr().out.startswith("SEQUENCE 1\n")

@@ -197,10 +197,11 @@ def test_csd_workspace_queried_once_per_size(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_input_is_not_unitary(bad):
     # The LAPACK drivers are called without a finiteness check; the entry
     # check stops NaN and inf first.
     u = np.eye(4, dtype=complex)
     u[1, 2] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+    with pytest.raises(NotUnitary):
         qsd_compile(u)
