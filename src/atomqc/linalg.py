@@ -108,6 +108,7 @@ def phase_distance(u, v):
         raise DimMismatch(f"shapes {u.shape} vs {v.shape}")
     # Minimizer is gamma = -arg tr(U^dagger V); evaluating the norm at the
     # optimum directly avoids the cancellation in sqrt(2 dim - 2 |tr|).
-    tr = np.trace(u.conj().T @ v)
+    # tr(U^dagger V) is the sum of conj(U) * V entry by entry, O(4^n).
+    tr = np.vdot(u, v)
     gamma = -np.angle(tr) if tr != 0 else 0.0
     return float(np.linalg.norm(u - np.exp(1j * gamma) * v, "fro"))

@@ -134,6 +134,23 @@ def test_phase_distance_detects_difference():
         phase_distance(np.eye(2), np.eye(4))
 
 
+def _trace_product_distance(u, v):
+    """The distance as first written: the trace of the full product U^dagger V, O(8^n)."""
+    tr = np.trace(u.conj().T @ v)
+    gamma = -np.angle(tr) if tr != 0 else 0.0
+    return float(np.linalg.norm(u - np.exp(1j * gamma) * v, "fro"))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phase_distance_matches_trace_of_product(n):
+    rng = np.random.default_rng(300 + n)
+    u, v = haar_unitary(2**n, rng), haar_unitary(2**n, rng)
+    assert abs(phase_distance(u, v) - _trace_product_distance(u, v)) <= 1e-12
+    for gamma in (0.4, -2.2, np.pi):
+        w = np.exp(1j * gamma) * u
+        assert abs(phase_distance(u, w) - _trace_product_distance(u, w)) <= 1e-12
+
+
 def test_phase_distance_no_cancellation_floor():
     # Evaluating the norm at the optimal phase keeps exact matches at the
     # machine floor instead of sqrt(eps).
