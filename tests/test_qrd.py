@@ -8,6 +8,7 @@ from test_compiler_inputs import DEGENERATE
 
 from atomqc import circuit as cir
 from atomqc import qrd
+from atomqc.barenco import lower_circuit
 from atomqc.circuit import pair_views
 from atomqc.exceptions import NotPowerOfTwo, NotUnitary, SizeTooLarge
 from atomqc.linalg import TOL_ZERO, phase_distance, random_unitary
@@ -163,6 +164,19 @@ def test_gate_counts_pinned(n, counts):
         len(native.gates),
         cir.gate_counts(native).get("C"),
     ) == counts
+
+
+@pytest.mark.parametrize("drop_controls", [True, False])
+def test_lowering_the_gates_equals_lowering_the_unlowered_circuit(drop_controls):
+    # The default path lowers QRD's gates without building their columns.
+    for n in range(1, 6):
+        for seed in range(2):
+            u = random_unitary(n, seed=seed)
+            lowered = qrd_compile(u, drop_controls=drop_controls)
+            again = lower_circuit(qrd_compile(u, lower=False, drop_controls=drop_controls))
+            assert lowered == again
+            for column in ("kinds", "qubits", "params", "polarities", "matrices"):
+                assert np.array_equal(getattr(lowered, column), getattr(again, column)), column
 
 
 def test_lowered_gate_kinds():
