@@ -17,6 +17,8 @@ from atomqc.qrd import qrd_compile
 from atomqc.qsd import qsd_compile
 from atomqc.retarget import retarget_circuit
 from atomqc.simulate import (
+    _MIN_BATCH,
+    _build_blocks,
     apply_circuit,
     apply_gate,
     circuit_unitary,
@@ -276,10 +278,20 @@ def test_fused_matches_unfused_on_corpus(name):
     assert _fused_error(retarget_circuit(c)) <= FUSED_TOL
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_fused_matches_unfused_on_haar_pipelines(n):
     for c in _pipeline_circuits(random_unitary(n, seed=40 + n)):
         assert _fused_error(c) <= FUSED_TOL, (n, len(c))
+
+
+def test_fused_matches_unfused_on_qsd_at_seven_qubits():
+    # Three probe columns: the unfused reference on the full unitary takes seconds here.
+    # QRD at n = 7 (295,736 lowered gates) is left to the criterion tests.
+    lowered = qsd_compile(random_unitary(7, seed=47))
+    probes = RNG.normal(size=(128, 3)) + 1j * RNG.normal(size=(128, 3))
+    for c in (lowered, retarget_circuit(lowered)):
+        fused = apply_circuit(probes.copy(), c)
+        assert np.max(np.abs(fused - _unfused(c, probes))) <= FUSED_TOL
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -305,12 +317,52 @@ def _edge_circuits():
         cir.ccz(0, 1, 2),
         cir.toffoli(2, 1, 0),
     )
-    return {
+    cases = {
         "empty": cir.Circuit(3),
         "single_qubit_only": cir.Circuit(3, single),
         "runs_open_at_end": cir.Circuit(3, open_runs),
         "global_phase": cir.Circuit(3, single[:2] + (cir.cnot(0, 1),), global_phase=-2.1),
         "zero_polarity_controls": cir.Circuit(3, zero_controls, global_phase=0.5),
+    }
+    for n in (4, 5):
+        cases.update({f"{name}_{n}q": c for name, c in _block_edge_circuits(n).items()})
+    return cases
+
+
+def _block_edge_circuits(n):
+    """Circuits on n > 3 qubits, most long enough that ``apply_circuit`` cuts blocks.
+
+    Blocks on two qubits (padded with the lowest unused one, before, between
+    or after them) and on three; a CCZ, a Toffoli and a polarity-0 MCX that
+    open a block; MCU, DIAG_PHASE and four-qubit rows between blocks.
+    """
+    rng = np.random.default_rng(33 + n)
+
+    def u1(q):
+        return cir.u1q(haar_unitary(2, rng), q)
+
+    pairs = [(0, 1), (2, 3)] * 12 + [(2, 0), (1, 3)] * 12 + [(3, 0), (1, n - 1)] * 12
+    two_qubit = tuple(g for a, b in pairs for g in (u1(a), cir.cz(a, b), u1(b), cir.cnot(b, a)))
+    boundaries, between = [], []
+    for _ in range(24):
+        a, b, c, d = (int(q) for q in rng.permutation(n)[:4])
+        boundaries += [u1(a), u1(b), cir.cz(a, b), cir.toffoli(a, b, c), u1(c),
+                       cir.ccz(b, c, d), u1(d), cir.mcx((d, b), c, (0, 1)), cir.cnot(c, d),
+                       cir.cz(a, c), cir.toffoli(d, a, b), cir.mcx((c,), a, (0,)), u1(b)]
+        between += [u1(a), cir.cz(a, b), cir.cnot(b, c), u1(c), cir.toffoli(a, c, b),
+                    cir.mcu((b,), a, haar_unitary(2, rng), (0,)), u1(a), cir.ccz(a, b, c),
+                    cir.diag_phase((c, a, b), (1, 0, 1), 0.8), cir.cnot(a, c), u1(b),
+                    cir.mcx((a, b, c), d, (1, 0, 1)), cir.cz(c, d),
+                    cir.mcu((a, b, d), c, haar_unitary(2, rng)), cir.diag_phase((d,), (0,), -0.3),
+                    cir.cz(b, d), cir.mcx((c, a), b, (1, 1)), u1(d)]
+    return {
+        "empty": cir.Circuit(n),
+        "single_qubit_only": cir.Circuit(n, tuple(u1(int(q)) for q in rng.integers(0, n, 60))),
+        "runs_open_at_end": cir.Circuit(n, two_qubit + tuple(u1(q) for q in range(n))),
+        "two_qubit_blocks": cir.Circuit(n, two_qubit),
+        "block_boundaries": cir.Circuit(n, tuple(boundaries)),
+        "unlowered_rows_between": cir.Circuit(n, tuple(between)),
+        "global_phase": cir.Circuit(n, tuple(boundaries[:200]), global_phase=2.6),
     }
 
 
@@ -321,9 +373,54 @@ def test_fused_matches_unfused_on_edge_cases(name):
     # Any column count: the kernels see only row pairs.
     rng = np.random.default_rng(32)
     for k in (1, 3, 9):
-        probes = rng.normal(size=(8, k)) + 1j * rng.normal(size=(8, k))
+        probes = rng.normal(size=(2**c.n_qubits, k)) + 1j * rng.normal(size=(2**c.n_qubits, k))
         fused = apply_circuit(probes.copy(), c)
         assert np.max(np.abs(fused - _unfused(c, probes))) <= FUSED_TOL
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_edge_cases_reach_the_block_path(n):
+    # Each long edge case builds blocks, and its blocks have two or three qubits.
+    for name, c in _block_edge_circuits(n).items():
+        slots, runs, us = cir.collect_runs(c)
+        tags, blocks, triples = _build_blocks(c, slots, runs, us)
+        if name in ("empty", "single_qubit_only"):
+            assert blocks is None and (tags == -1).all(), name
+            continue
+        assert len(blocks) >= 32, name
+        widths = {bin(m).count("1") for m in _block_masks(c, slots, runs, tags)}
+        assert widths <= {2, 3} and (name != "two_qubit_blocks" or 2 in widths), name
+
+
+def _block_masks(c, slots, runs, tags):
+    """The qubit mask of each built block, from the slots tagged into it."""
+    masks, block = [], -1
+    for s, t in zip(slots.tolist(), tags.tolist()):
+        if t >= 0:
+            masks.append(0)
+            block = t
+        if t == -1:
+            continue
+        qubits = [runs[s, 0]] if s >= 0 else [q for q in c.qubits[~s] if q >= 0]
+        masks[block] |= sum(1 << int(q) for q in qubits)
+    return masks
+
+
+def test_a_long_block_is_cut():
+    # 200 slots on qubits 0-2 of four: one greedy block, cut every 200 // _MIN_BATCH
+    # slots, so that every build call serves at least _MIN_BATCH blocks.
+    rng = np.random.default_rng(34)
+    gates = []
+    for _ in range(100):
+        gates += [cir.u1q(haar_unitary(2, rng), int(rng.integers(3))), cir.ccz(0, 1, 2)]
+    c = cir.Circuit(4, tuple(gates) + (cir.cz(2, 3),))
+    slots, runs, us = cir.collect_runs(c)
+    tags, blocks, triples = _build_blocks(c, slots, runs, us)
+    cap = 200 // _MIN_BATCH
+    assert len(blocks) == -(-200 // cap) and set(triples) == {(0, 1, 2)}
+    assert tags.tolist()[:2 * cap + 1] == ([0] + [-2] * (cap - 1) + [1] + [-2] * (cap - 1) + [2])
+    assert tags[-1] == -1  # the CZ on qubit 3 steps alone
+    assert _fused_error(c) <= FUSED_TOL
 
 
 def test_apply_circuit_rejects_a_strided_or_misshapen_input():
