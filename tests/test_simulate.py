@@ -286,9 +286,10 @@ def test_fused_matches_unfused_on_haar_pipelines(n):
 
 def test_fused_matches_unfused_on_qsd_at_seven_qubits():
     # Three probe columns: the unfused reference on the full unitary takes seconds here.
-    # QRD at n = 7 (295,736 lowered gates) is left to the criterion tests.
+    # QRD at n = 7 (295,736 lowered gates) is not run: its reference alone takes ~30 s.
     lowered = qsd_compile(random_unitary(7, seed=47))
-    probes = RNG.normal(size=(128, 3)) + 1j * RNG.normal(size=(128, 3))
+    rng = np.random.default_rng(48)
+    probes = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
     for c in (lowered, retarget_circuit(lowered)):
         fused = apply_circuit(probes.copy(), c)
         assert np.max(np.abs(fused - _unfused(c, probes))) <= FUSED_TOL
