@@ -91,13 +91,15 @@ def _build_blocks(c, slots, runs, us):
         open_mask = m if first[-1] else joined
     starts = np.array(first, dtype=bool)[el].nonzero()[0]
     lengths = np.diff(starts, append=len(el))
-    # fills[L - 1]: the pieces of L slots the blocks would be cut into; the
-    # cap is the largest L that makes _MIN_BATCH of them (at least 1 here).
-    by_length = np.bincount(lengths)
-    fills = (by_length[:, None] * (np.arange(len(by_length))[:, None]
-                                   // np.arange(1, len(by_length)))).sum(0)
+    # The cap is the largest L whose pieces of L slots, (lengths // L).sum(),
+    # number _MIN_BATCH: at least 1 here, at most len(el) // _MIN_BATCH, and
+    # found by bisection, as the count does not grow with L.
+    cap, hi = 1, len(el) // _MIN_BATCH
+    while cap < hi:
+        mid = (cap + hi + 1) // 2
+        cap, hi = (mid, hi) if (lengths // mid).sum() >= _MIN_BATCH else (cap, mid - 1)
     depth = np.arange(len(el)) - np.repeat(starts, lengths)
-    depth %= np.count_nonzero(fills >= _MIN_BATCH)
+    depth %= cap
     starts = (depth == 0).nonzero()[0]
     lengths = np.diff(starts, append=len(el))
     keep = np.repeat(lengths > 1, lengths)

@@ -1,6 +1,7 @@
 """Tests for the dense simulator and verification metrics."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,31 @@ def test_a_long_block_is_cut():
     assert tags.tolist()[:2 * cap + 1] == ([0] + [-2] * (cap - 1) + [1] + [-2] * (cap - 1) + [2])
     assert tags[-1] == -1  # the CZ on qubit 3 steps alone
     assert _fused_error(c) <= FUSED_TOL
+
+
+def test_a_very_long_block_is_cut_in_memory_linear_in_its_slots():
+    # 30,000 slots on qubits 0-2 of four, as where an idle ancilla leaves three
+    # qubits busy: finding the cap must not take memory quadratic in the
+    # block's length (a 30,000 x 30,000 table would be 7 GB).
+    rng = np.random.default_rng(35)
+    pairs = 15000
+    gates = []
+    for q in rng.integers(3, size=pairs).tolist():
+        gates += [cir.u1q(haar_unitary(2, rng), q), cir.ccz(0, 1, 2)]
+    c = cir.Circuit(4, tuple(gates) + (cir.cz(2, 3),))
+    slots, runs, us = cir.collect_runs(c)
+    tracemalloc.start()
+    try:
+        tags, blocks, triples = _build_blocks(c, slots, runs, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    cap = 2 * pairs // _MIN_BATCH
+    assert len(blocks) == -(-2 * pairs // cap) and set(triples) == {(0, 1, 2)}
+    assert (tags[:2 * pairs:cap] == np.arange(len(blocks))).all() and tags[-1] == -1
+    probes = haar_unitary(16, rng)[:, :3].copy()
+    assert np.abs(apply_circuit(probes.copy(), c) - _unfused(c, probes)).max() <= FUSED_TOL
 
 
 def test_apply_circuit_rejects_a_strided_or_misshapen_input():
