@@ -183,9 +183,6 @@ def _through_block(g):
 def lower_circuit(c):
     """Lower MCU/MCX/DIAG_PHASE so only retarget-ready kinds remain.
 
-    ``c`` is a ``Circuit``, or any object with its ``n_qubits``, ``gates``
-    and ``global_phase``: only those are read.
-
     Their blocks are checked for unitarity in one pass; each goes through
     the Barenco recursion as its ``controlled_block``, |0> controls
     conjugated with X, so the output holds single-qubit gates, CNOT, CZ,

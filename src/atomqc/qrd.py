@@ -8,8 +8,6 @@ basis-flip conjugation.  Control elimination then drops controls whose
 removal provably leaves all previously-cleared matrix entries untouched.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from . import circuit as cir
@@ -141,7 +139,7 @@ def qrd_compile(u, *, lower=True, drop_controls=True, max_qubits=MAX_QUBITS):
             gates.append(cir.diag_phase(tuple(range(n)), pattern, gamma))
     # Time order: diagonal first, then the daggered eliminations in reverse.
     gates.extend(reversed(emitted))
+    circuit = cir.Circuit(n, tuple(gates))
     if lower:
-        # lower_circuit reads only these fields, so the gates get no columns of their own.
-        return lower_circuit(SimpleNamespace(n_qubits=n, gates=tuple(gates), global_phase=0.0))
-    return cir.Circuit(n, tuple(gates))
+        circuit = lower_circuit(circuit)
+    return circuit
